@@ -2,10 +2,9 @@
 
 from .anova import (SimCache, adaptive_decompose, contribution_weight, embed,
                     term_mean, term_value)
-from .bench import (ExperimentConfig, ExperimentReport, index_order,
-                    load_config, relative_error, run_experiment)
-from .emulator import (AnovaGpEmulator, LocalGpEmulator, SgpEmulator,
-                       assemble, load_emulator, predict_local_mean,
+from .bench import (ExperimentConfig, ExperimentReport, load_config,
+                    relative_error, run_experiment)
+from .emulator import (AnovaGpEmulator, PcaGp, assemble, load_emulator,
                        predict_sgp_mean, save_emulator, train_local,
                        train_sgp, variance_indicator)
 from .gp import (GpModel, GpTrainConfig, Hyperparameters, kernel, nlml,

@@ -15,7 +15,6 @@ subset must itself have been selected).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -47,30 +46,27 @@ class SimCache:
     """Memoized simulator evaluations keyed by the embedded input point.
 
     A hit returns the identical stored vector; the number of misses equals
-    the number of distinct simulator solves performed.  Access is serialized
-    with a lock so concurrent requesters of one key observe a single result.
+    the number of distinct simulator solves performed.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._store: dict[bytes, np.ndarray] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def evaluate(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         key = xi.tobytes()
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            out = np.asarray(self.sim.evaluate(xi), dtype=float)
-            out.flags.writeable = False
-            self._store[key] = out
-            self.misses += 1
-            return out
+        cached = self._store.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        out = np.asarray(self.sim.evaluate(xi), dtype=float)
+        out.flags.writeable = False
+        self._store[key] = out
+        self.misses += 1
+        return out
 
     def __len__(self) -> int:
         return len(self._store)
@@ -110,10 +106,6 @@ class IndexSelection:
         for i in sorted(self.orders):
             out.extend(sorted(self.orders[i]))
         return out
-
-    @property
-    def n_terms(self) -> int:
-        return sum(len(v) for v in self.orders.values())
 
 
 def embed(xi_t: np.ndarray, t: AnovaIndex, c: np.ndarray) -> np.ndarray:

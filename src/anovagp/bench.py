@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .anova import (AnovaIndex, SimCache, adaptive_decompose, index_order_key)
-from .emulator import (AnovaGpEmulator, SgpEmulator, assemble,
-                       predict_sgp_mean, save_emulator, train_local, train_sgp)
+from .anova import SimCache, adaptive_decompose, index_order_key
+from .emulator import (AnovaGpEmulator, PcaGp, assemble, predict_sgp_mean,
+                       save_emulator, train_local, train_sgp)
 from .exceptions import ConfigError
 from .gp import GpTrainConfig
 from .simulators import DiffusionSimulator, Simulator, analytic_bank
@@ -49,12 +49,6 @@ def relative_error(predicted: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError("relative_error is undefined for a zero truth vector")
     diff = predicted - truth
     return float(diff @ diff) / denom
-
-
-def index_order(a: AnovaIndex, b: AnovaIndex) -> int:
-    """Total order on ANOVA indices: by order, then lexicographic. -1/0/1."""
-    ka, kb = index_order_key(tuple(a)), index_order_key(tuple(b))
-    return (ka > kb) - (ka < kb)
 
 
 @dataclass
@@ -228,14 +222,15 @@ def run_experiment(config: ExperimentConfig,
     tic = time.perf_counter()
     rng = np.random.default_rng(derive_seed(config.seed, _STAGE_TEST))
     test_inputs = sim.uniform_sample(rng, config.n_test)
+    preds = {"anova_gp": anova_em.predict_mean(test_inputs),
+             "sgp": predict_sgp_mean(sgp_em, test_inputs)}
     errors = {"anova_gp": [], "sgp": []}
     undefined = []
     for j, xi in enumerate(test_inputs):
         truth = np.asarray(sim.evaluate(xi), dtype=float)
-        for method, pred in (("anova_gp", anova_em.predict_mean(xi)),
-                             ("sgp", predict_sgp_mean(sgp_em, xi))):
+        for method, pred in preds.items():
             try:
-                errors[method].append(relative_error(pred, truth))
+                errors[method].append(relative_error(pred[j], truth))
             except ValueError:
                 errors[method].append(math.nan)
                 undefined.append({"test_index": j, "method": method})
@@ -276,7 +271,7 @@ def write_errors_csv(report: ExperimentReport, path: Path) -> None:
 
 
 def write_artifacts(report: ExperimentReport, anova_em: AnovaGpEmulator,
-                    sgp_em: SgpEmulator, out_dir: Path) -> None:
+                    sgp_em: PcaGp, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_errors_csv(report, out_dir / "errors.csv")
     with open(out_dir / "report.json", "w") as fh:

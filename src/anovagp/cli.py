@@ -12,8 +12,7 @@ import numpy as np
 
 from .anova import adaptive_decompose, index_order_key
 from .bench import build_simulator, load_config, run_experiment
-from .emulator import (AnovaGpEmulator, SgpEmulator, load_emulator,
-                       predict_sgp_mean)
+from .emulator import AnovaGpEmulator, PcaGp, load_emulator, predict_sgp_mean
 from .exceptions import AnovaGpError, ConfigError
 
 
@@ -78,22 +77,24 @@ def _load_points(config_path: str) -> np.ndarray:
     else:
         import yaml
         data = yaml.safe_load(text)
-    if isinstance(data, dict) and "points" in data:
-        return np.asarray(data["points"], dtype=float)
-    if isinstance(data, dict) and "points_csv" in data:
+    if not isinstance(data, dict) or not {"points", "points_csv"} & set(data):
+        raise ConfigError("prediction config needs 'points' or 'points_csv'")
+    try:
+        if "points" in data:
+            return np.atleast_2d(np.asarray(data["points"], dtype=float))
         return np.loadtxt(data["points_csv"], delimiter=",", ndmin=2)
-    raise ConfigError("prediction config needs 'points' or 'points_csv'")
+    except ValueError as err:
+        raise ConfigError(f"prediction points are not a table of numbers: "
+                          f"{err}") from None
 
 
 def cmd_predict(args) -> int:
     emulator = load_emulator(args.emulator)
     points = _load_points(args.config)
     if isinstance(emulator, AnovaGpEmulator):
-        preds = [emulator.predict_mean(x) for x in points]
-    elif isinstance(emulator, SgpEmulator):
-        preds = [predict_sgp_mean(emulator, x) for x in points]
+        preds = emulator.predict_mean(points)
     else:
-        raise ConfigError("unsupported emulator archive")
+        preds = predict_sgp_mean(emulator, points)
     dest = sys.stdout
     handle = None
     if args.out:
@@ -113,7 +114,7 @@ def cmd_predict(args) -> int:
 
 def cmd_inspect(args) -> int:
     emulator = load_emulator(args.emulator)
-    if isinstance(emulator, SgpEmulator):
+    if isinstance(emulator, PcaGp):
         payload = {"kind": "sgp", "rank": emulator.rank,
                    "n_train": int(emulator.train_inputs.shape[0])}
     else:

@@ -1,46 +1,60 @@
-"""Local GP emulators per ANOVA term, their assembly, and the S-GP baseline.
+"""PCA + per-mode GP blocks: local ANOVA-GP terms, their assembly, S-GP.
 
-A local emulator compresses one term's outputs with PCA and models each
-retained principal coefficient with an independent GP.  Training is active:
-starting from the quadrature dataset of the decomposition, points are added
-one at a time from a seeded uniform candidate pool, always taking the pool
-point with the largest variance indicator (the eigenvalue-weighted average
-of the per-mode predictive variances), until the training budget is reached.
+A ``PcaGp`` block compresses N output vectors with snapshot PCA and models
+each retained principal coefficient with an independent GP over the input
+coordinates ``coords`` (1-based): a term's coordinates for a local ANOVA-GP
+emulator, all m for the S-GP baseline.  A block predicts rows of points at
+once, reconstructing the per-mode GP means M as V M + mu; the assembled
+emulator adds the local means to the anchor output.
 
-The assembled emulator predicts the anchor output plus the sum of the local
-predictive means; the S-GP baseline applies PCA + GPs directly to raw
-simulator outputs over the full input dimension.
+Local training is active: starting from the quadrature dataset of the
+decomposition, points are added one at a time from a seeded uniform
+candidate pool, always taking the pool point with the largest variance
+indicator (the eigenvalue-weighted average of the per-mode predictive
+variances), until the training budget is reached.
+
+Archives (schema version 2) store every block in one npz layout, so a
+loaded emulator predicts bitwise like the saved one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import gp as gp_mod
 from .anova import (AnovaIndex, IndexSelection, SimCache, TermDataset,
                     index_order_key, term_value)
-from .exceptions import UndefinedIndicatorError
-from .gp import GpModel, GpTrainConfig, predict_batch, train_gp
-from .pca import PcaModel, fit_pca, reconstruct
+from .exceptions import ConfigError, UndefinedIndicatorError
+from .gp import GpModel, GpTrainConfig, Hyperparameters, posterior, \
+    predict_batch, train_gp
+from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
-ARCHIVE_SCHEMA_VERSION = 1
+ARCHIVE_SCHEMA_VERSION = 2
+
+
+def _as_rows(x, width: int) -> tuple[np.ndarray, bool]:
+    """Rows (n, width) from one point or rows, and whether it was one point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ConfigError(f"expected a point of shape ({width},) or rows of "
+                          f"shape (n, {width}), got shape {x.shape}")
+    return np.atleast_2d(x), x.ndim == 1
 
 
 @dataclass
-class LocalGpEmulator:
-    """PCA model plus per-mode GPs for one nonempty ANOVA term.
+class PcaGp:
+    """PCA of N outputs plus one GP per retained mode over ``coords``.
 
-    A rank-zero term carries no GPs and always predicts the PCA mean.
+    A rank-zero block carries no GPs and always predicts the PCA mean.
     """
 
-    index: AnovaIndex
+    coords: AnovaIndex
     pca: PcaModel
     mode_gps: list[GpModel]
-    train_inputs: np.ndarray   # (N, |t|)
+    train_inputs: np.ndarray   # (N, |coords|)
     train_values: np.ndarray   # (N, d)
     acquisition_trace: list = field(default_factory=list)
 
@@ -48,23 +62,24 @@ class LocalGpEmulator:
     def rank(self) -> int:
         return self.pca.rank
 
+    def predict_mean(self, x: np.ndarray) -> np.ndarray:
+        """Predictive mean V M + mu at one point (|coords|,) or rows."""
+        xs, single = _as_rows(x, len(self.coords))
+        means = np.array([predict_batch(g, xs)[0] for g in self.mode_gps])
+        out = means.reshape(self.rank, len(xs)).T @ self.pca.components.T
+        out += self.pca.mean
+        return out[0] if single else out
 
-def variance_indicator(local: LocalGpEmulator, xi_t: np.ndarray) -> float:
-    """Eigenvalue-weighted average of the per-mode predictive variances."""
-    if local.rank == 0:
+
+def variance_indicator(block: PcaGp, xs: np.ndarray) -> np.ndarray:
+    """Eigenvalue-weighted average of the per-mode predictive variances,
+    at each row of ``xs``."""
+    if block.rank == 0:
         raise UndefinedIndicatorError(
-            f"term {local.index} is constant (rank 0); the variance "
+            f"block {block.coords} is constant (rank 0); the variance "
             "indicator is undefined")
-    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    lam = local.pca.eigenvalues
-    variances = np.array([gp_mod.predict(g, xi_t)[1] for g in local.mode_gps])
-    return float(lam @ variances / lam.sum())
-
-
-def _indicator_batch(pca: PcaModel, mode_gps: list[GpModel],
-                     pool: np.ndarray) -> np.ndarray:
-    lam = pca.eigenvalues
-    variances = np.stack([predict_batch(g, pool)[1] for g in mode_gps])
+    lam = block.pca.eigenvalues
+    variances = np.stack([predict_batch(g, xs)[1] for g in block.mode_gps])
     return lam @ variances / lam.sum()
 
 
@@ -73,18 +88,11 @@ def _train_modes(inputs, targets, base_config: GpTrainConfig,
     """Train one GP per PCA mode, warm-starting from the previous refit."""
     models = []
     for r in range(targets.shape[0]):
-        cfg = GpTrainConfig(restarts=base_config.restarts,
-                            max_iter=base_config.max_iter,
-                            jitter_floor=base_config.jitter_floor,
-                            optimize_jitter=base_config.optimize_jitter,
-                            seed=base_config.seed + 977 * refit_seed + r)
+        cfg = replace(base_config, seed=base_config.seed + 977 * refit_seed + r)
         if previous is not None and r < len(previous):
-            prev = previous[r].hyper
-            theta = np.concatenate([prev.log_sq_lengths,
-                                    [prev.log_signal_var, prev.log_jitter_var]])
+            theta = previous[r].hyper.as_array()
             if np.all(np.isfinite(theta)):
-                cfg.warm_starts = [theta]
-                cfg.restarts = 1
+                cfg = replace(cfg, warm_starts=[theta], restarts=1)
         models.append(train_gp(inputs, targets[r], cfg))
     return models
 
@@ -93,7 +101,7 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
                 sim: Simulator, c: np.ndarray, cache: SimCache,
                 pool_size: int = 1000, tol_pca: float = 1e-2, seed: int = 0,
                 gp_config: GpTrainConfig | None = None,
-                record_trace: bool = False) -> LocalGpEmulator:
+                record_trace: bool = False) -> PcaGp:
     """Build the local emulator for term t with active training.
 
     The training set starts as the decomposition dataset of t.  Each active
@@ -119,19 +127,16 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     refit = 0
     while True:
         pca_model, targets = fit_pca(values, tol_pca)
-        if pca_model.rank == 0:
-            return LocalGpEmulator(index=t, pca=pca_model, mode_gps=[],
-                                   train_inputs=inputs, train_values=values,
-                                   acquisition_trace=trace)
         mode_gps = _train_modes(inputs, targets, gp_config, previous_gps, refit)
-        if inputs.shape[0] >= n_train:
-            break
-        tau = _indicator_batch(pca_model, mode_gps, pool)
-        pick = int(np.argmax(tau))
+        block = PcaGp(coords=t, pca=pca_model, mode_gps=mode_gps,
+                      train_inputs=inputs, train_values=values)
+        if pca_model.rank == 0 or inputs.shape[0] >= n_train:
+            block.acquisition_trace = trace
+            return block
+        pick = int(np.argmax(variance_indicator(block, pool)))
         xi_star = pool[pick]
         if record_trace:
-            trace.append({"pool": pool.copy(), "chosen": pick,
-                          "pca": pca_model, "mode_gps": mode_gps})
+            trace.append({"pool": pool.copy(), "chosen": pick, "block": block})
         y_star = term_value(t, xi_star, sim, c, cache)
         inputs = np.vstack([inputs, xi_star])
         values = np.vstack([values, y_star])
@@ -139,59 +144,27 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
         previous_gps = mode_gps
         refit += 1
 
-    return LocalGpEmulator(index=t, pca=pca_model, mode_gps=mode_gps,
-                           train_inputs=inputs, train_values=values,
-                           acquisition_trace=trace)
-
-
-def predict_local_mean(local: LocalGpEmulator, xi_t: np.ndarray) -> np.ndarray:
-    """Predictive mean of the local model: V m' + mu."""
-    if local.rank == 0:
-        return np.array(local.pca.mean)
-    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    if xi_t.shape != (len(local.index),):
-        raise ValueError(f"expected a point of the {len(local.index)}-dim "
-                         f"subcube of {local.index}, got shape {xi_t.shape}")
-    means = np.array([gp_mod.predict(g, xi_t)[0] for g in local.mode_gps])
-    return reconstruct(local.pca, means)
-
 
 @dataclass
 class AnovaGpEmulator:
-    """Assembled emulator: cached anchor output plus the local term models."""
+    """Assembled emulator: cached anchor output plus the local term blocks."""
 
     anchor_output: np.ndarray
     anchor: np.ndarray
-    locals: dict[AnovaIndex, LocalGpEmulator]
+    locals: dict[AnovaIndex, PcaGp]
     selection: IndexSelection
 
     def predict_mean(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        out = np.array(self.anchor_output)
-        for t, local in self.locals.items():
-            out += predict_local_mean(local, xi[[i - 1 for i in t]])
-        return out
-
-    def predict_variance(self, xi: np.ndarray) -> np.ndarray:
-        """Per-component variance aggregate, terms treated as independent.
-
-        Diagnostic only: sum over terms of V diag(v'_r) V^T restricted to
-        the diagonal.
-        """
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(self.anchor_output)
-        for t, local in self.locals.items():
-            if local.rank == 0:
-                continue
-            xi_t = xi[[i - 1 for i in t]]
-            for r, g in enumerate(local.mode_gps):
-                _, var = gp_mod.predict(g, xi_t)
-                out += var * local.pca.components[:, r] ** 2
-        return out
+        """Anchor output plus the local means, at one point (m,) or rows."""
+        xs, single = _as_rows(xi, self.anchor.size)
+        out = np.tile(self.anchor_output, (len(xs), 1))
+        for t, block in self.locals.items():
+            out += block.predict_mean(xs[:, [i - 1 for i in t]])
+        return out[0] if single else out
 
 
 def assemble(selection: IndexSelection, anchor_output: np.ndarray,
-             locals_map: dict[AnovaIndex, LocalGpEmulator],
+             locals_map: dict[AnovaIndex, PcaGp],
              anchor: np.ndarray) -> AnovaGpEmulator:
     """Assemble the overall emulator from the selection and the local models.
 
@@ -208,22 +181,9 @@ def assemble(selection: IndexSelection, anchor_output: np.ndarray,
                            locals=ordered, selection=selection)
 
 
-@dataclass
-class SgpEmulator:
-    """Baseline: PCA over raw outputs, GPs over the full input dimension."""
-
-    pca: PcaModel
-    mode_gps: list[GpModel]
-    train_inputs: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.pca.rank
-
-
 def train_sgp(sim: Simulator, n: int, tol_pca: float = 1e-2, seed: int = 0,
               gp_config: GpTrainConfig | None = None,
-              cache: SimCache | None = None) -> SgpEmulator:
+              cache: SimCache | None = None) -> PcaGp:
     """Train the standard-GP baseline on n i.i.d. uniform input samples."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -233,52 +193,19 @@ def train_sgp(sim: Simulator, n: int, tol_pca: float = 1e-2, seed: int = 0,
     evaluate = cache.evaluate if cache is not None else sim.evaluate
     outputs = np.stack([np.asarray(evaluate(x), dtype=float) for x in inputs])
     pca_model, targets = fit_pca(outputs, tol_pca)
-    mode_gps = []
-    for r in range(pca_model.rank):
-        cfg = GpTrainConfig(restarts=gp_config.restarts,
-                            max_iter=gp_config.max_iter,
-                            jitter_floor=gp_config.jitter_floor,
-                            optimize_jitter=gp_config.optimize_jitter,
-                            seed=gp_config.seed + r)
-        mode_gps.append(train_gp(inputs, targets[r], cfg))
-    return SgpEmulator(pca=pca_model, mode_gps=mode_gps, train_inputs=inputs)
+    mode_gps = _train_modes(inputs, targets, gp_config, None, 0)
+    return PcaGp(coords=tuple(range(1, sim.input_dim + 1)), pca=pca_model,
+                 mode_gps=mode_gps, train_inputs=inputs, train_values=outputs)
 
 
-def predict_sgp_mean(emulator: SgpEmulator, xi: np.ndarray) -> np.ndarray:
-    """Predictive mean of the S-GP baseline: V m' + mu."""
-    if emulator.rank == 0:
-        return np.array(emulator.pca.mean)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    means = np.array([gp_mod.predict(g, xi)[0] for g in emulator.mode_gps])
-    return reconstruct(emulator.pca, means)
+def predict_sgp_mean(emulator: PcaGp, xi: np.ndarray) -> np.ndarray:
+    """Predictive mean of the S-GP baseline at one point (m,) or rows."""
+    return emulator.predict_mean(xi)
 
 
 # ---------------------------------------------------------------------------
 # Serialization: a versioned npz archive with exact float preservation
 # ---------------------------------------------------------------------------
-
-def _hyper_to_array(hyper) -> np.ndarray:
-    return np.concatenate([hyper.log_sq_lengths,
-                           [hyper.log_signal_var, hyper.log_jitter_var]])
-
-
-def _rebuild_gp(inputs: np.ndarray, targets: np.ndarray,
-                loghyp: np.ndarray) -> GpModel:
-    from scipy.linalg import cho_solve, cholesky
-
-    hyper = gp_mod.Hyperparameters(
-        log_sq_lengths=loghyp[:-2].copy(),
-        log_signal_var=float(loghyp[-2]),
-        log_jitter_var=float(loghyp[-1]))
-    k, _ = gp_mod._kernel_matrix(gp_mod._pairwise_sqdists(inputs),
-                                 hyper.sq_lengths, hyper.signal_var,
-                                 hyper.jitter_var)
-    low = cholesky(k, lower=True)
-    w = cho_solve((low, True), targets)
-    return GpModel(inputs=inputs, targets=targets, hyper=hyper,
-                   chol_lower=low, weights=w,
-                   final_nlml=gp_mod._nlml_from_parts(low, w, targets))
-
 
 def _selection_to_meta(selection: IndexSelection) -> dict:
     return {
@@ -301,38 +228,51 @@ def _selection_from_meta(meta: dict) -> IndexSelection:
                           candidate_counts=counts)
 
 
+def _save_block(arrays: dict, prefix: str, block: PcaGp) -> None:
+    n_train, n_dims = block.train_inputs.shape
+    arrays[prefix + "mean"] = block.pca.mean
+    arrays[prefix + "components"] = block.pca.components
+    arrays[prefix + "eigenvalues"] = block.pca.eigenvalues
+    arrays[prefix + "total_variance"] = np.float64(block.pca.total_variance)
+    arrays[prefix + "inputs"] = block.train_inputs
+    arrays[prefix + "values"] = block.train_values
+    arrays[prefix + "targets"] = np.array(
+        [g.targets for g in block.mode_gps]).reshape(block.rank, n_train)
+    arrays[prefix + "loghyp"] = np.array(
+        [g.hyper.as_array() for g in block.mode_gps]).reshape(block.rank, n_dims + 2)
+
+
+def _load_block(data, prefix: str, coords: AnovaIndex) -> PcaGp:
+    pca_model = PcaModel(mean=data[prefix + "mean"],
+                         components=data[prefix + "components"],
+                         eigenvalues=data[prefix + "eigenvalues"],
+                         total_variance=float(data[prefix + "total_variance"]))
+    inputs = data[prefix + "inputs"]
+    mode_gps = [posterior(inputs, targets, Hyperparameters.from_array(loghyp))
+                for targets, loghyp in zip(data[prefix + "targets"],
+                                           data[prefix + "loghyp"])]
+    return PcaGp(coords=coords, pca=pca_model, mode_gps=mode_gps,
+                 train_inputs=inputs, train_values=data[prefix + "values"])
+
+
 def save_emulator(emulator, path: str) -> None:
     """Write an emulator (ANOVA-GP or S-GP) to a versioned npz archive."""
     arrays: dict[str, np.ndarray] = {}
     if isinstance(emulator, AnovaGpEmulator):
-        meta = {"schema_version": ARCHIVE_SCHEMA_VERSION, "kind": "anova-gp",
-                "terms": [], "selection": _selection_to_meta(emulator.selection)}
+        blocks = list(emulator.locals.values())
+        meta = {"kind": "anova-gp",
+                "selection": _selection_to_meta(emulator.selection)}
         arrays["anchor_output"] = emulator.anchor_output
         arrays["anchor"] = emulator.anchor
-        for i, (t, local) in enumerate(emulator.locals.items()):
-            meta["terms"].append({"coords": list(t), "rank": local.rank})
-            arrays[f"t{i}_mean"] = local.pca.mean
-            arrays[f"t{i}_components"] = local.pca.components
-            arrays[f"t{i}_eigenvalues"] = local.pca.eigenvalues
-            arrays[f"t{i}_total_variance"] = np.float64(local.pca.total_variance)
-            arrays[f"t{i}_inputs"] = local.train_inputs
-            arrays[f"t{i}_values"] = local.train_values
-            for r, g in enumerate(local.mode_gps):
-                arrays[f"t{i}_m{r}_targets"] = g.targets
-                arrays[f"t{i}_m{r}_loghyp"] = _hyper_to_array(g.hyper)
-    elif isinstance(emulator, SgpEmulator):
-        meta = {"schema_version": ARCHIVE_SCHEMA_VERSION, "kind": "sgp",
-                "rank": emulator.rank}
-        arrays["sgp_mean"] = emulator.pca.mean
-        arrays["sgp_components"] = emulator.pca.components
-        arrays["sgp_eigenvalues"] = emulator.pca.eigenvalues
-        arrays["sgp_total_variance"] = np.float64(emulator.pca.total_variance)
-        arrays["sgp_inputs"] = emulator.train_inputs
-        for r, g in enumerate(emulator.mode_gps):
-            arrays[f"sgp_m{r}_targets"] = g.targets
-            arrays[f"sgp_m{r}_loghyp"] = _hyper_to_array(g.hyper)
+    elif isinstance(emulator, PcaGp):
+        blocks = [emulator]
+        meta = {"kind": "sgp"}
     else:
         raise TypeError(f"cannot serialize {type(emulator).__name__}")
+    meta["schema_version"] = ARCHIVE_SCHEMA_VERSION
+    meta["blocks"] = [list(b.coords) for b in blocks]
+    for i, block in enumerate(blocks):
+        _save_block(arrays, f"b{i}_", block)
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -341,40 +281,19 @@ def load_emulator(path: str):
     """Load an emulator archive written by ``save_emulator``."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        if meta["schema_version"] != ARCHIVE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported archive version {meta['schema_version']}")
-        if meta["kind"] == "anova-gp":
-            locals_map: dict[AnovaIndex, LocalGpEmulator] = {}
-            for i, term_meta in enumerate(meta["terms"]):
-                t = tuple(term_meta["coords"])
-                pca_model = PcaModel(
-                    mean=data[f"t{i}_mean"],
-                    components=data[f"t{i}_components"],
-                    eigenvalues=data[f"t{i}_eigenvalues"],
-                    total_variance=float(data[f"t{i}_total_variance"]))
-                inputs = data[f"t{i}_inputs"]
-                mode_gps = [
-                    _rebuild_gp(inputs, data[f"t{i}_m{r}_targets"],
-                                data[f"t{i}_m{r}_loghyp"])
-                    for r in range(term_meta["rank"])]
-                locals_map[t] = LocalGpEmulator(
-                    index=t, pca=pca_model, mode_gps=mode_gps,
-                    train_inputs=inputs, train_values=data[f"t{i}_values"])
-            return AnovaGpEmulator(
-                anchor_output=data["anchor_output"], anchor=data["anchor"],
-                locals=locals_map,
-                selection=_selection_from_meta(meta["selection"]))
-        if meta["kind"] == "sgp":
-            pca_model = PcaModel(
-                mean=data["sgp_mean"], components=data["sgp_components"],
-                eigenvalues=data["sgp_eigenvalues"],
-                total_variance=float(data["sgp_total_variance"]))
-            inputs = data["sgp_inputs"]
-            mode_gps = [
-                _rebuild_gp(inputs, data[f"sgp_m{r}_targets"],
-                            data[f"sgp_m{r}_loghyp"])
-                for r in range(meta["rank"])]
-            return SgpEmulator(pca=pca_model, mode_gps=mode_gps,
-                               train_inputs=inputs)
-        raise ValueError(f"unknown archive kind {meta['kind']!r}")
+        version = meta.get("schema_version")
+        if version != ARCHIVE_SCHEMA_VERSION:
+            raise ConfigError(
+                f"unsupported archive schema version {version!r}; this "
+                f"release reads version {ARCHIVE_SCHEMA_VERSION} only")
+        kind = meta.get("kind")
+        if kind not in ("anova-gp", "sgp"):
+            raise ConfigError(f"unknown archive kind {kind!r}")
+        blocks = [_load_block(data, f"b{i}_", tuple(coords))
+                  for i, coords in enumerate(meta["blocks"])]
+        if kind == "sgp":
+            return blocks[0]
+        return AnovaGpEmulator(
+            anchor_output=data["anchor_output"], anchor=data["anchor"],
+            locals={b.coords: b for b in blocks},
+            selection=_selection_from_meta(meta["selection"]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import minimize
 
 from .exceptions import IllConditionedKernelError, TrainingFailedError
@@ -49,6 +49,18 @@ class Hyperparameters:
     @property
     def n_dims(self) -> int:
         return self.log_sq_lengths.size
+
+    def as_array(self) -> np.ndarray:
+        """[log l_1..M, log rho1^2, log rho2^2] as one vector."""
+        return np.concatenate([self.log_sq_lengths,
+                               [self.log_signal_var, self.log_jitter_var]])
+
+    @classmethod
+    def from_array(cls, theta: np.ndarray) -> "Hyperparameters":
+        """Inverse of ``as_array``."""
+        return cls(log_sq_lengths=theta[:-2].copy(),
+                   log_signal_var=float(theta[-2]),
+                   log_jitter_var=float(theta[-1]))
 
 
 def kernel(x: np.ndarray, x2: np.ndarray, hyper: Hyperparameters) -> float:
@@ -95,20 +107,20 @@ def _nlml_from_parts(chol_lower: np.ndarray, weights: np.ndarray,
     return 0.5 * logdet + 0.5 * float(targets @ weights) + 0.5 * n * _LOG_2PI
 
 
-def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Negative log marginal likelihood of the targets under the kernel."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    k, _ = _kernel_matrix(_pairwise_sqdists(inputs), hyper.sq_lengths,
-                          hyper.signal_var, hyper.jitter_var)
+def _cholesky(k: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a kernel matrix that must be positive definite."""
     if not np.all(np.isfinite(k)):
         raise IllConditionedKernelError("kernel matrix has non-finite entries")
     try:
-        low = cholesky(k, lower=True)
+        return cholesky(k, lower=True)
     except np.linalg.LinAlgError as err:
         raise IllConditionedKernelError(str(err)) from err
-    w = cho_solve((low, True), targets)
-    return _nlml_from_parts(low, w, targets)
+
+
+def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Negative log marginal likelihood of the targets under the kernel."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    return posterior(inputs, np.asarray(targets, dtype=float), hyper).final_nlml
 
 
 def _theta_split(theta: np.ndarray, m: int, fixed_log_jitter: float | None):
@@ -134,12 +146,7 @@ def _nlml_value_grad(theta: np.ndarray, sqdists: np.ndarray,
         jit2 = float(np.exp(log_jit2))
 
     k, k_se = _kernel_matrix(sqdists, ell, sig2, jit2)
-    if not np.all(np.isfinite(k)):
-        raise IllConditionedKernelError("kernel matrix has non-finite entries")
-    try:
-        low = cholesky(k, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise IllConditionedKernelError(str(err)) from err
+    low = _cholesky(k)
     w = cho_solve((low, True), targets)
     value = _nlml_from_parts(low, w, targets)
 
@@ -170,9 +177,8 @@ def nlml_gradient(hyper: Hyperparameters, inputs: np.ndarray,
         _, grad = _nlml_value_grad(theta, sqdists, targets,
                                    fixed_log_jitter=-np.inf)
         return np.concatenate([grad, [0.0]])
-    theta = np.concatenate([hyper.log_sq_lengths,
-                            [hyper.log_signal_var, hyper.log_jitter_var]])
-    _, grad = _nlml_value_grad(theta, sqdists, targets, fixed_log_jitter=None)
+    _, grad = _nlml_value_grad(hyper.as_array(), sqdists, targets,
+                               fixed_log_jitter=None)
     return grad
 
 
@@ -210,14 +216,18 @@ class GpModel:
         return self.targets.size
 
 
-def _finalize(inputs, targets, sqdists, theta, m, fixed_log_jitter):
-    log_ell, log_sig2, log_jit2 = _theta_split(theta, m, fixed_log_jitter)
-    hyper = Hyperparameters(log_sq_lengths=np.array(log_ell, dtype=float),
-                            log_signal_var=float(log_sig2),
-                            log_jitter_var=float(log_jit2))
+def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
+              sqdists: np.ndarray | None = None) -> GpModel:
+    """The GP conditioned on its training data under fixed hyperparameters.
+
+    Depends only on (inputs, targets, hyper): a model rebuilt from stored
+    hyperparameters predicts bitwise like the trained one.
+    """
+    if sqdists is None:
+        sqdists = _pairwise_sqdists(inputs)
     k, _ = _kernel_matrix(sqdists, hyper.sq_lengths, hyper.signal_var,
                           hyper.jitter_var)
-    low = cholesky(k, lower=True)
+    low = _cholesky(k)
     w = cho_solve((low, True), targets)
     return GpModel(inputs=inputs, targets=targets, hyper=hyper,
                    chol_lower=low, weights=w,
@@ -309,7 +319,10 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
         raise TrainingFailedError(
             f"all {len(inits)} restarts failed (N={n}, M={m}, "
             f"jitter_floor={floor}); the kernel matrix is singular")
-    return _finalize(inputs, targets, sqdists, best_theta, m, fixed_log_jitter)
+    if fixed_log_jitter is not None:
+        best_theta = np.append(best_theta, fixed_log_jitter)
+    return posterior(inputs, targets, Hyperparameters.from_array(best_theta),
+                     sqdists)
 
 
 def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from anovagp.bench import (ExperimentConfig, derive_seed, index_order,
-                           load_config, relative_error, run_experiment)
+from anovagp.anova import index_order_key
+from anovagp.bench import (ExperimentConfig, derive_seed, load_config,
+                           relative_error, run_experiment)
 from anovagp.cli import main
 from anovagp.exceptions import ConfigError
 
@@ -46,19 +47,19 @@ class TestRelativeError:
 
 class TestIndexOrder:
     def test_order_dominates(self):
-        assert index_order((3,), (1, 2)) == -1
-        assert index_order((1, 2), (3,)) == 1
+        assert sorted([(3,), (1, 2)], key=index_order_key) == [(3,), (1, 2)]
+        assert sorted([(1, 2), (3,)], key=index_order_key) == [(3,), (1, 2)]
 
     def test_lexicographic_within_order(self):
-        assert index_order((1, 3), (2, 3)) == -1
-        assert index_order((2, 3), (1, 3)) == 1
+        assert sorted([(1, 3), (2, 3)], key=index_order_key) == [(1, 3), (2, 3)]
+        assert sorted([(2, 3), (1, 3)], key=index_order_key) == [(1, 3), (2, 3)]
 
     def test_equal(self):
-        assert index_order((1, 2), (1, 2)) == 0
+        assert index_order_key((1, 2)) == index_order_key((1, 2))
 
     def test_sorting(self):
         items = [(2, 3), (1,), (1, 2), (3,), (1, 2, 3)]
-        items.sort(key=lambda t: (len(t), t))
+        items.sort(key=index_order_key)
         assert items == [(1,), (3,), (1, 2), (2, 3), (1, 2, 3)]
 
 
@@ -271,6 +272,41 @@ class TestCli:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         bad = tmp_path / "bad_points.json"
-        bad.write_text(json.dumps({"wrong": 1}))
-        assert main(["predict", "--config", str(bad),
-                     "--emulator", str(out / "anova_gp.npz")]) == 2
+        for payload in ({"wrong": 1}, {"points": [[0.5, 0.5], [0.5]]},
+                        {"points": [["a", "b"]]}):
+            bad.write_text(json.dumps(payload))
+            assert main(["predict", "--config", str(bad),
+                         "--emulator", str(out / "anova_gp.npz")]) == 2
+
+    @pytest.mark.parametrize("archive", ["anova_gp.npz", "sgp.npz"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_predict_point_width(self, tmp_path, report, capsys, archive,
+                                 width):
+        _, out = report
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[0.5] * width] * 2}))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(points),
+                     "--emulator", str(out / archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "config"
+
+    @pytest.mark.parametrize("patch", [{"schema_version": 1}, {"kind": "x"}])
+    def test_bad_archive_exit_code(self, tmp_path, report, capsys, patch):
+        _, out = report
+        with np.load(str(out / "sgp.npz"), allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta.update(patch)
+        arrays["meta"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(str(bad), **arrays)
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [[0.5, 0.5]]}))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(points),
+                     "--emulator", str(bad)]) == 2
+        assert main(["inspect", "--emulator", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[0])[
+            "error"] == "config"

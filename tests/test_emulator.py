@@ -1,15 +1,21 @@
 """Tests for the local emulators, active training, assembly, S-GP and archives."""
 
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
-from anovagp.emulator import (LocalGpEmulator, _indicator_batch, assemble,
-                              load_emulator, predict_local_mean,
-                              predict_sgp_mean, save_emulator, train_local,
-                              train_sgp, variance_indicator)
-from anovagp.exceptions import UndefinedIndicatorError
-from anovagp.gp import GpTrainConfig
+from anovagp.emulator import (assemble, load_emulator, predict_sgp_mean,
+                              save_emulator, train_local, train_sgp,
+                              variance_indicator)
+from anovagp.exceptions import ConfigError, UndefinedIndicatorError
+from anovagp.gp import GpTrainConfig, cross_kernel, predict
+from anovagp.pca import project, reconstruct
 from anovagp.simulators import Simulator, analytic_bank
 
 FAST_GP = GpTrainConfig(restarts=2, max_iter=60)
@@ -42,25 +48,27 @@ class TestVarianceIndicator:
         local, _, _ = make_local(sim, (1,), n_train=5)
         assert local.rank == 0
         with pytest.raises(UndefinedIndicatorError):
-            variance_indicator(local, np.array([0.5]))
+            variance_indicator(local, np.array([[0.5]]))
 
     def test_weighted_average_formula(self):
         sim = analytic_bank("polynomial-mix", 2, 6)
         local, _, _ = make_local(sim, (1, 2), n_train=10)
         assert local.rank >= 1
-        from anovagp.gp import predict
-        x = np.array([0.31, 0.64])
+        xs = np.array([[0.31, 0.64], [0.9, 0.05]])
         lam = local.pca.eigenvalues
-        expected = sum(lam[r] * predict(g, x)[1]
-                       for r, g in enumerate(local.mode_gps)) / lam.sum()
-        assert np.isclose(variance_indicator(local, x), expected, rtol=1e-12)
+        tau = variance_indicator(local, xs)
+        assert tau.shape == (2,)
+        for x, got in zip(xs, tau):
+            expected = sum(lam[r] * predict(g, x)[1]
+                           for r, g in enumerate(local.mode_gps)) / lam.sum()
+            assert np.isclose(got, expected, rtol=1e-12)
 
     def test_small_at_training_points(self):
         sim = analytic_bank("additive", 2, 5)
         local, _, _ = make_local(sim, (1,), n_train=8)
         prior = max(g.hyper.signal_var for g in local.mode_gps)
-        for x in local.train_inputs:
-            assert variance_indicator(local, x) < 1e-6 * max(prior, 1.0)
+        tau = variance_indicator(local, local.train_inputs)
+        assert np.all(tau < 1e-6 * max(prior, 1.0))
 
 
 class TestTrainLocal:
@@ -96,18 +104,19 @@ class TestTrainLocal:
         local, _, _ = make_local(sim, (1,), n_train=9, record_trace=True)
         assert len(local.acquisition_trace) == 9 - 5
         for step in local.acquisition_trace:
-            tau = _indicator_batch(step["pca"], step["mode_gps"], step["pool"])
+            tau = variance_indicator(step["block"], step["pool"])
             assert step["chosen"] == int(np.argmax(tau))
 
     def test_trace_matches_pointwise_indicator(self):
         sim = analytic_bank("additive", 2, 4)
         local, _, _ = make_local(sim, (2,), n_train=7, record_trace=True)
         step = local.acquisition_trace[0]
-        probe = LocalGpEmulator(index=(2,), pca=step["pca"],
-                                mode_gps=step["mode_gps"],
-                                train_inputs=local.train_inputs[:5],
-                                train_values=local.train_values[:5])
-        taus = [variance_indicator(probe, x) for x in step["pool"]]
+        block = step["block"]
+        assert np.array_equal(block.train_inputs, local.train_inputs[:5])
+        lam = block.pca.eigenvalues
+        taus = [sum(lam[r] * predict(g, x)[1]
+                    for r, g in enumerate(block.mode_gps)) / lam.sum()
+                for x in step["pool"]]
         assert step["chosen"] == int(np.argmax(taus))
 
     def test_acquired_values_are_term_values(self):
@@ -131,37 +140,36 @@ class TestPredictLocal:
     def test_rank_zero_constant(self):
         sim = ConstantSimulator(2, np.array([1.0, 2.0]))
         local, _, _ = make_local(sim, (1,), n_train=5)
-        assert np.allclose(predict_local_mean(local, np.array([0.2])), 0.0,
+        assert np.allclose(local.predict_mean(np.array([0.2])), 0.0,
+                           atol=1e-13)
+        assert np.allclose(local.predict_mean(np.array([[0.2], [0.7]])), 0.0,
                            atol=1e-13)
 
     def test_interpolates_training_data(self):
         # prediction at a training point matches the PCA reconstruction of
         # the stored value (truncation error is inherent, GP error is not)
-        from anovagp.pca import project, reconstruct
-
         sim = analytic_bank("polynomial-mix", 2, 6)
         local, _, _ = make_local(sim, (1,), n_train=10)
         scale = np.max(np.abs(local.train_values)) + 1e-30
-        for x, v in zip(local.train_inputs, local.train_values):
-            pred = predict_local_mean(local, x)
+        preds = local.predict_mean(local.train_inputs)
+        for pred, v in zip(preds, local.train_values):
             target = reconstruct(local.pca, project(local.pca, v))
             assert np.max(np.abs(pred - target)) < 1e-3 * scale
 
     def test_term_accuracy_off_grid(self):
         sim = analytic_bank("additive", 2, 5)
         local, c, cache = make_local(sim, (1,), n_train=12)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            x = rng.uniform(0, 1, 1)
+        xs = np.random.default_rng(0).uniform(0, 1, (10, 1))
+        for x, pred in zip(xs, local.predict_mean(xs)):
             truth = term_value((1,), x, sim, c, cache)
-            pred = predict_local_mean(local, x)
             assert np.max(np.abs(pred - truth)) < 1e-3
 
     def test_dimension_mismatch(self):
         sim = analytic_bank("additive", 2, 5)
         local, _, _ = make_local(sim, (1,), n_train=6)
-        with pytest.raises(ValueError):
-            predict_local_mean(local, np.array([0.1, 0.2]))
+        for bad in (np.array([0.1, 0.2]), np.zeros((3, 2)), np.zeros(0)):
+            with pytest.raises(ConfigError):
+                local.predict_mean(bad)
 
 
 class TestAssemble:
@@ -195,11 +203,10 @@ class TestAssemble:
         sim, result, locals_map = pieces
         emu = assemble(result.selection, result.anchor_output, locals_map,
                        result.anchor)
-        rng = np.random.default_rng(11)
-        for _ in range(15):
-            xi = rng.uniform(0, 1, 3)
+        xs = np.random.default_rng(11).uniform(0, 1, (15, 3))
+        for xi, pred in zip(xs, emu.predict_mean(xs)):
             truth = sim.evaluate(xi)
-            err = np.linalg.norm(emu.predict_mean(xi) - truth)
+            err = np.linalg.norm(pred - truth)
             assert err / np.linalg.norm(truth) < 1e-3
 
     def test_locals_in_index_order(self, pieces):
@@ -208,13 +215,6 @@ class TestAssemble:
                        result.anchor)
         keys = list(emu.locals)
         assert keys == sorted(keys, key=lambda t: (len(t), t))
-
-    def test_variance_nonnegative(self, pieces):
-        _, result, locals_map = pieces
-        emu = assemble(result.selection, result.anchor_output, locals_map,
-                       result.anchor)
-        var = emu.predict_variance(np.array([0.1, 0.9, 0.4]))
-        assert np.all(var >= 0.0)
 
 
 class TestSgp:
@@ -227,6 +227,8 @@ class TestSgp:
         sim = analytic_bank("rank-one-product", 2, 6)
         emu = train_sgp(sim, 20, seed=2, gp_config=FAST_GP)
         assert emu.rank == 1
+        assert emu.coords == (1, 2)
+        assert emu.train_values.shape == (20, 6)
 
     def test_cache_accounting(self):
         sim = analytic_bank("additive", 2, 4)
@@ -237,11 +239,10 @@ class TestSgp:
     def test_accuracy_on_smooth_target(self):
         sim = analytic_bank("rank-one-product", 2, 6)
         emu = train_sgp(sim, 30, seed=4, gp_config=FAST_GP)
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            xi = rng.uniform(0, 1, 2)
+        xs = np.random.default_rng(6).uniform(0, 1, (10, 2))
+        for xi, pred in zip(xs, predict_sgp_mean(emu, xs)):
             truth = sim.evaluate(xi)
-            err = np.linalg.norm(predict_sgp_mean(emu, xi) - truth)
+            err = np.linalg.norm(pred - truth)
             assert err / np.linalg.norm(truth) < 1e-2
 
     def test_constant_outputs(self):
@@ -250,6 +251,16 @@ class TestSgp:
         assert emu.rank == 0
         assert np.allclose(predict_sgp_mean(emu, np.array([0.5, 0.5])),
                            [4.0, -2.0, 1.0])
+        assert np.allclose(predict_sgp_mean(emu, np.full((3, 2), 0.5)),
+                           [[4.0, -2.0, 1.0]] * 3)
+
+    def test_point_width_checked(self):
+        sim = analytic_bank("additive", 2, 4)
+        emu = train_sgp(sim, 8, seed=1, gp_config=FAST_GP)
+        for bad in (np.zeros(3), np.zeros(1), np.zeros((4, 3)),
+                    np.zeros((2, 2, 2))):
+            with pytest.raises(ConfigError):
+                predict_sgp_mean(emu, bad)
 
 
 class TestSerialization:
@@ -291,18 +302,128 @@ class TestSerialization:
             save_emulator(object(), str(tmp_path / "x.npz"))
 
     def test_version_check(self, tmp_path):
-        import json
-
         sim = analytic_bank("additive", 2, 4)
         emu = train_sgp(sim, 6, seed=1, gp_config=FAST_GP)
         path = tmp_path / "sgp.npz"
         save_emulator(emu, str(path))
-        with np.load(str(path), allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        meta["schema_version"] = 999
-        arrays["meta"] = np.array(json.dumps(meta))
-        bad = tmp_path / "bad.npz"
-        np.savez(str(bad), **arrays)
-        with pytest.raises(ValueError):
-            load_emulator(str(bad))
+        for patch in ({"schema_version": 999}, {"schema_version": 1},
+                      {"kind": "tree"}):
+            bad = tmp_path / "bad.npz"
+            patch_archive_meta(path, bad, patch)
+            with pytest.raises(ConfigError):
+                load_emulator(str(bad))
+
+    def test_batched_roundtrip_bitwise(self, tmp_path):
+        xs = np.random.default_rng(12).uniform(0, 1, (25, 3))
+        for name in ("polynomial-mix", "additive"):
+            for emu in trained_pair(name):   # ANOVA-GP, then S-GP
+                path = tmp_path / "emu.npz"
+                save_emulator(emu, str(path))
+                loaded = load_emulator(str(path))
+                assert np.array_equal(emu.predict_mean(xs),
+                                      loaded.predict_mean(xs))
+
+
+def patch_archive_meta(src, dest, patch: dict) -> None:
+    """Copy an archive with some of its meta entries replaced."""
+    with np.load(str(src), allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta.update(patch)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(str(dest), **arrays)
+
+
+@functools.lru_cache(maxsize=None)
+def trained_pair(name: str):
+    """ANOVA-GP and S-GP emulators of a 3-input analytic simulator."""
+    sim = analytic_bank(name, 3, 5)
+    result = adaptive_decompose(sim, tol_index=1e-6)
+    locals_map = {
+        t: train_local(t, ds, 8 if len(t) == 1 else 27, sim, result.anchor,
+                       result.cache, pool_size=60, seed=7, gp_config=FAST_GP)
+        for t, ds in result.datasets.items()}
+    anova_em = assemble(result.selection, result.anchor_output, locals_map,
+                        result.anchor)
+    return anova_em, train_sgp(sim, 30, seed=2, gp_config=FAST_GP)
+
+
+_U = np.finfo(float).eps / 2   # unit roundoff
+
+
+def _gamma(k):
+    """Bound on the relative rounding error of k chained float operations."""
+    return k * _U / (1.0 - k * _U)
+
+
+def reference_and_bound(block, xs):
+    """Per-row reference means from ``gp.predict`` and ``pca.reconstruct``,
+    and a first-order bound on how far any other float64 evaluation of the
+    same formulas may lie from them.
+
+    Per mode, the mean is c*.w with c*_i = s exp(-q_i / 2).  Each of the two
+    evaluations rounds the dot product by at most gamma_N sum|c*_i w_i|, and
+    each c*_i by (M q_i / 2 + 9) u: gamma_M on q, up to 4 ulp in exp, one
+    rounding for the signal variance.  The reconstruction V alpha + mu and
+    the sum over terms add gamma_(R+2) of the magnitudes they sum.  The bound
+    is fixed by this analysis, not fitted to observed differences.
+    """
+    refs, bounds = [], []
+    comps = np.abs(block.pca.components)
+    for x in xs:
+        alpha = np.array([predict(g, x)[0] for g in block.mode_gps])
+        mode_bound = np.zeros(block.rank)
+        for r, g in enumerate(block.mode_gps):
+            n_train, m = g.inputs.shape
+            c_star = cross_kernel(g.inputs, x, g.hyper)
+            diff = g.inputs - x
+            q = (diff * diff) @ (1.0 / g.hyper.sq_lengths)
+            terms = np.abs(c_star * g.weights)
+            mode_bound[r] = terms @ (2 * _gamma(n_train) + 2 * _gamma(
+                m * q / 2 + 9))
+        refs.append(reconstruct(block.pca, alpha))
+        bounds.append(comps @ mode_bound + 2 * _gamma(block.rank + 2) * (
+            comps @ np.abs(alpha) + np.abs(block.pca.mean)))
+    return np.array(refs), np.array(bounds)
+
+
+def anova_reference_and_bound(emu, xs):
+    ref = np.tile(emu.anchor_output, (len(xs), 1))
+    bound = np.zeros_like(ref)
+    magnitude = np.abs(ref)
+    for t, block in emu.locals.items():
+        r, b = reference_and_bound(block, xs[:, [i - 1 for i in t]])
+        ref += r
+        bound += b
+        magnitude += np.abs(r)
+    return ref, bound + 2 * _gamma(len(emu.locals)) * magnitude
+
+
+class TestBatchedPrediction:
+    """Each row of a batched prediction is the pointwise prediction, up to
+    float64 rounding of the same formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["polynomial-mix", "additive",
+                                 "rank-one-product"]),
+           xs=st.integers(1, 12).flatmap(lambda n: arrays(
+               float, (n, 3), elements=st.floats(0.0, 1.0))))
+    def test_rows_match_pointwise(self, name, xs):
+        anova_em, sgp_em = trained_pair(name)
+        got = anova_em.predict_mean(xs)
+        ref, bound = anova_reference_and_bound(anova_em, xs)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
+        got = predict_sgp_mean(sgp_em, xs)
+        ref, bound = reference_and_bound(sgp_em, xs)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_single_point_is_one_row(self):
+        anova_em, sgp_em = trained_pair("polynomial-mix")
+        x = np.array([0.3, 0.8, 0.1])
+        assert anova_em.predict_mean(x).shape == anova_em.anchor_output.shape
+        assert predict_sgp_mean(sgp_em, x).shape == sgp_em.pca.mean.shape
+        for bad in (np.zeros(4), np.zeros(2), np.zeros((5, 2))):
+            with pytest.raises(ConfigError):
+                anova_em.predict_mean(bad)
