@@ -27,21 +27,6 @@ from .simulators import Simulator
 AnovaIndex = tuple[int, ...]
 
 
-def normalize_index(coords) -> AnovaIndex:
-    """Sorted, duplicate-free tuple form of an ANOVA index."""
-    t = tuple(sorted(int(i) for i in coords))
-    if len(set(t)) != len(t):
-        raise ValueError(f"index has repeated coordinates: {coords}")
-    if t and t[0] < 1:
-        raise ValueError(f"coordinates are 1-based, got {coords}")
-    return t
-
-
-def index_order_key(t: AnovaIndex) -> tuple:
-    """Sort key for the alphabetical index ordering: by order, then lexicographic."""
-    return (len(t), t)
-
-
 class SimCache:
     """Memoized simulator evaluations keyed by the embedded input point.
 
@@ -106,6 +91,28 @@ class IndexSelection:
         for i in sorted(self.orders):
             out.extend(sorted(self.orders[i]))
         return out
+
+    def to_dict(self) -> dict:
+        """JSON form; a weight's key is its index joined as "i,j,..."."""
+        return {
+            "orders": {str(i): [list(t) for t in sorted(ts)]
+                       for i, ts in self.orders.items()},
+            "weights": {",".join(map(str, t)): w
+                        for t, w in self.weights.items()},
+            "candidate_counts": {str(i): n
+                                 for i, n in self.candidate_counts.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "IndexSelection":
+        """Inverse of ``to_dict``."""
+        return cls(
+            orders={int(i): [tuple(t) for t in ts]
+                    for i, ts in data["orders"].items()},
+            weights={tuple(map(int, key.split(","))): float(w)
+                     for key, w in data["weights"].items()},
+            candidate_counts={int(i): int(n)
+                              for i, n in data["candidate_counts"].items()})
 
 
 def embed(xi_t: np.ndarray, t: AnovaIndex, c: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .anova import SimCache, adaptive_decompose, index_order_key
+from .anova import SimCache, adaptive_decompose
 from .emulator import (AnovaGpEmulator, PcaGp, assemble, predict_sgp_mean,
                        save_emulator, train_local, train_sgp)
 from .exceptions import ConfigError
@@ -51,6 +51,18 @@ def relative_error(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(diff @ diff) / denom
 
 
+# integer settings and their least values (type() is int rejects bools)
+_INT_MINIMUMS = {"nodes_per_dim": 1, "max_order": 1, "n_train": 1, "n_test": 1,
+                 "pool_size": 1, "seed": 0, "gp_restarts": 1, "gp_max_iter": 1,
+                 "sgp_gp_restarts": 1, "sgp_gp_max_iter": 1}
+
+# the keys each simulator block may hold besides "name"
+_SIMULATOR_KEYS = {
+    "diffusion": {"elements_per_side", "k_side", "coeff_interval", "solver"},
+    **dict.fromkeys(("additive", "rank-one-product", "polynomial-mix"),
+                    {"m", "output_dim"})}
+
+
 @dataclass
 class ExperimentConfig:
     """Settings for one end-to-end run.
@@ -78,27 +90,24 @@ class ExperimentConfig:
     sgp_gp_max_iter: int = 60
 
     def validate(self) -> None:
-        if self.tol_index <= 0 or self.tol_pca <= 0:
-            raise ConfigError("tolerances must be positive")
+        for name, low in _INT_MINIMUMS.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.simulator, dict) or "name" not in self.simulator:
+            raise ConfigError("simulator block needs a 'name'")
+        if not self.tol_index > 0:
+            raise ConfigError("tol_index must be positive")
         if not 0 < self.tol_pca < 1:
             raise ConfigError("tol_pca must lie in (0, 1)")
-        if self.n_test < 1:
-            raise ConfigError("n_test must be >= 1")
-        if self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
         if self.pool_size <= self.n_train:
             raise ConfigError("pool_size must exceed n_train")
-        if self.nodes_per_dim < 1:
-            raise ConfigError("nodes_per_dim must be >= 1")
-        if self.max_order < 1:
-            raise ConfigError("max_order must be >= 1")
         if self.denominator not in ("running", "previous_orders"):
             raise ConfigError(f"unknown denominator mode {self.denominator!r}")
         if not (self.sgp_budget == "matched"
-                or (isinstance(self.sgp_budget, int) and self.sgp_budget >= 1)):
+                or (type(self.sgp_budget) is int and self.sgp_budget >= 1)):
             raise ConfigError("sgp_budget must be 'matched' or a positive int")
-        if "name" not in self.simulator:
-            raise ConfigError("simulator block needs a 'name'")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -110,6 +119,8 @@ class ExperimentConfig:
         # YAML reads exponent literals without a dot ("1e-4") as strings
         for name in ("tol_index", "tol_pca"):
             if name in data:
+                if isinstance(data[name], bool):
+                    raise ConfigError(f"{name} must be a number")
                 try:
                     data[name] = float(data[name])
                 except (TypeError, ValueError):
@@ -138,11 +149,18 @@ def build_simulator(spec: dict) -> Simulator:
     """Instantiate the simulator described by a config block."""
     spec = dict(spec)
     name = spec.pop("name", None)
+    if not isinstance(name, str) or name not in _SIMULATOR_KEYS:
+        raise ConfigError(f"unknown simulator name {name!r}")
+    unknown = spec.keys() - _SIMULATOR_KEYS[name]
+    if unknown:
+        raise ConfigError(f"unknown {name!r} simulator keys {sorted(unknown)}")
+    for key in spec.keys() & {"elements_per_side", "k_side", "m", "output_dim"}:
+        if type(spec[key]) is not int:
+            raise ConfigError(f"simulator {key} must be an integer, "
+                              f"got {spec[key]!r}")
     if name == "diffusion":
         return DiffusionSimulator(**spec)
-    if name in ("additive", "rank-one-product", "polynomial-mix"):
-        return analytic_bank(name, spec.get("m", 4), spec.get("output_dim", 8))
-    raise ConfigError(f"unknown simulator name {name!r}")
+    return analytic_bank(name, spec.get("m", 4), spec.get("output_dim", 8))
 
 
 @dataclass
@@ -242,7 +260,7 @@ def run_experiment(config: ExperimentConfig,
                   for i in sorted(counts)]
     term_modes = [{"index": list(t), "rank": locals_map[t].rank,
                    "weight": decomp.selection.weights[t]}
-                  for t in sorted(selected, key=index_order_key)]
+                  for t in selected]
     sim_calls = {"decomposition": decompose_calls,
                  "active_training": active_calls,
                  "sgp_training": sgp_cache.misses,

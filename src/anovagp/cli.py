@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anova import adaptive_decompose, index_order_key
+from .anova import adaptive_decompose
 from .bench import build_simulator, load_config, run_experiment
 from .emulator import AnovaGpEmulator, PcaGp, load_emulator, predict_sgp_mean
 from .exceptions import AnovaGpError, ConfigError
@@ -34,14 +34,8 @@ def cmd_decompose(args) -> int:
     result = adaptive_decompose(
         sim, tol_index=config.tol_index, nodes_per_dim=config.nodes_per_dim,
         max_order=config.max_order, denominator=config.denominator)
-    sel = result.selection
-    payload = {
-        "orders": {str(i): [list(t) for t in sorted(ts)]
-                   for i, ts in sel.orders.items()},
-        "weights": {",".join(map(str, t)): w for t, w in sel.weights.items()},
-        "candidate_counts": sel.candidate_counts,
-        "simulator_calls": result.cache.misses,
-    }
+    payload = {**result.selection.to_dict(),
+               "simulator_calls": result.cache.misses}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -115,17 +109,19 @@ def cmd_predict(args) -> int:
 def cmd_inspect(args) -> int:
     emulator = load_emulator(args.emulator)
     if isinstance(emulator, PcaGp):
+        if args.format == "csv":
+            raise ConfigError("--format csv prints a term table; an S-GP "
+                              "archive has no terms, use --format json")
         payload = {"kind": "sgp", "rank": emulator.rank,
                    "n_train": int(emulator.train_inputs.shape[0])}
     else:
         terms = [{"index": list(t), "rank": loc.rank,
                   "n_train": int(loc.train_inputs.shape[0])}
-                 for t, loc in sorted(emulator.locals.items(),
-                                      key=lambda kv: index_order_key(kv[0]))]
+                 for t, loc in emulator.locals.items()]
         payload = {"kind": "anova-gp", "n_terms": len(terms) + 1,
                    "terms": terms,
                    "candidate_counts": emulator.selection.candidate_counts}
-    if args.format == "csv" and payload["kind"] == "anova-gp":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["index", "rank", "n_train"])
         for row in payload["terms"]:
@@ -143,23 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="ANOVA-GP surrogate emulators for expensive simulators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_config=True, needs_emulator=False):
-        p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True)
-        if needs_emulator:
-            p.add_argument("--emulator", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.set_defaults(func=func)
-        return p
+    flags = {"--config": {"required": True},
+             "--emulator": {"required": True},
+             "--seed": {"type": int, "default": None},
+             "--out": {"default": None},
+             "--format": {"choices": ["csv", "json"], "default": "json"}}
 
-    add("decompose", cmd_decompose)
-    add("train", cmd_train)
-    add("benchmark", cmd_benchmark)
-    add("predict", cmd_predict, needs_emulator=True)
-    add("inspect", cmd_inspect, needs_config=False, needs_emulator=True)
+    def add(name, func, *names):
+        p = sub.add_parser(name)
+        p.set_defaults(func=func)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+
+    add("decompose", cmd_decompose, "--config", "--seed", "--out")
+    add("train", cmd_train, "--config", "--seed", "--out")
+    add("benchmark", cmd_benchmark, "--config", "--seed", "--out")
+    add("predict", cmd_predict, "--config", "--emulator", "--out")
+    add("inspect", cmd_inspect, "--emulator", "--format")
     return parser
 
 

@@ -20,12 +20,11 @@ loaded emulator predicts bitwise like the saved one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anova import (AnovaIndex, IndexSelection, SimCache, TermDataset,
-                    index_order_key, term_value)
+from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, UndefinedIndicatorError
 from .gp import GpModel, GpTrainConfig, Hyperparameters, posterior, \
     predict_batch, train_gp
@@ -56,7 +55,6 @@ class PcaGp:
     mode_gps: list[GpModel]
     train_inputs: np.ndarray   # (N, |coords|)
     train_values: np.ndarray   # (N, d)
-    acquisition_trace: list = field(default_factory=list)
 
     @property
     def rank(self) -> int:
@@ -90,9 +88,7 @@ def _train_modes(inputs, targets, base_config: GpTrainConfig,
     for r in range(targets.shape[0]):
         cfg = replace(base_config, seed=base_config.seed + 977 * refit_seed + r)
         if previous is not None and r < len(previous):
-            theta = previous[r].hyper.as_array()
-            if np.all(np.isfinite(theta)):
-                cfg = replace(cfg, warm_starts=[theta], restarts=1)
+            cfg = replace(cfg, warm_start=previous[r].hyper, restarts=1)
         models.append(train_gp(inputs, targets[r], cfg))
     return models
 
@@ -100,8 +96,7 @@ def _train_modes(inputs, targets, base_config: GpTrainConfig,
 def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
                 sim: Simulator, c: np.ndarray, cache: SimCache,
                 pool_size: int = 1000, tol_pca: float = 1e-2, seed: int = 0,
-                gp_config: GpTrainConfig | None = None,
-                record_trace: bool = False) -> PcaGp:
+                gp_config: GpTrainConfig | None = None) -> PcaGp:
     """Build the local emulator for term t with active training.
 
     The training set starts as the decomposition dataset of t.  Each active
@@ -122,7 +117,6 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     rng = np.random.default_rng(seed)
     pool = sim.uniform_sample(rng, pool_size, coords=t)
 
-    trace = []
     previous_gps: list[GpModel] | None = None
     refit = 0
     while True:
@@ -131,12 +125,9 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
         block = PcaGp(coords=t, pca=pca_model, mode_gps=mode_gps,
                       train_inputs=inputs, train_values=values)
         if pca_model.rank == 0 or inputs.shape[0] >= n_train:
-            block.acquisition_trace = trace
             return block
         pick = int(np.argmax(variance_indicator(block, pool)))
         xi_star = pool[pick]
-        if record_trace:
-            trace.append({"pool": pool.copy(), "chosen": pick, "block": block})
         y_star = term_value(t, xi_star, sim, c, cache)
         inputs = np.vstack([inputs, xi_star])
         values = np.vstack([values, y_star])
@@ -171,14 +162,14 @@ def assemble(selection: IndexSelection, anchor_output: np.ndarray,
     Every selected nonempty index must have a local model; the empty term is
     the exact anchor output, never a GP.
     """
-    wanted = {t for t in selection.indices if t}
-    missing = wanted - set(locals_map)
+    wanted = [t for t in selection.indices if t]
+    missing = [t for t in wanted if t not in locals_map]
     if missing:
-        raise ValueError(f"missing local emulators for indices {sorted(missing)}")
-    ordered = {t: locals_map[t] for t in sorted(wanted, key=index_order_key)}
+        raise ValueError(f"missing local emulators for indices {missing}")
     return AnovaGpEmulator(anchor_output=np.asarray(anchor_output, dtype=float),
                            anchor=np.asarray(anchor, dtype=float),
-                           locals=ordered, selection=selection)
+                           locals={t: locals_map[t] for t in wanted},
+                           selection=selection)
 
 
 def train_sgp(sim: Simulator, n: int, tol_pca: float = 1e-2, seed: int = 0,
@@ -206,27 +197,6 @@ def predict_sgp_mean(emulator: PcaGp, xi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Serialization: a versioned npz archive with exact float preservation
 # ---------------------------------------------------------------------------
-
-def _selection_to_meta(selection: IndexSelection) -> dict:
-    return {
-        "orders": {str(i): [list(t) for t in ts]
-                   for i, ts in selection.orders.items()},
-        "weights": {",".join(map(str, t)): w
-                    for t, w in selection.weights.items()},
-        "candidate_counts": {str(i): n
-                             for i, n in selection.candidate_counts.items()},
-    }
-
-
-def _selection_from_meta(meta: dict) -> IndexSelection:
-    orders = {int(i): [tuple(t) for t in ts]
-              for i, ts in meta["orders"].items()}
-    weights = {tuple(int(x) for x in key.split(",")): float(w)
-               for key, w in meta["weights"].items() if key}
-    counts = {int(i): int(n) for i, n in meta["candidate_counts"].items()}
-    return IndexSelection(orders=orders, weights=weights,
-                          candidate_counts=counts)
-
 
 def _save_block(arrays: dict, prefix: str, block: PcaGp) -> None:
     n_train, n_dims = block.train_inputs.shape
@@ -261,7 +231,7 @@ def save_emulator(emulator, path: str) -> None:
     if isinstance(emulator, AnovaGpEmulator):
         blocks = list(emulator.locals.values())
         meta = {"kind": "anova-gp",
-                "selection": _selection_to_meta(emulator.selection)}
+                "selection": emulator.selection.to_dict()}
         arrays["anchor_output"] = emulator.anchor_output
         arrays["anchor"] = emulator.anchor
     elif isinstance(emulator, PcaGp):
@@ -296,4 +266,4 @@ def load_emulator(path: str):
         return AnovaGpEmulator(
             anchor_output=data["anchor_output"], anchor=data["anchor"],
             locals={b.coords: b for b in blocks},
-            selection=_selection_from_meta(meta["selection"]))
+            selection=IndexSelection.from_dict(meta["selection"]))

@@ -11,7 +11,7 @@ randomized scale-aware starts and keeps the best restart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -63,19 +63,6 @@ class Hyperparameters:
                    log_jitter_var=float(theta[-1]))
 
 
-def kernel(x: np.ndarray, x2: np.ndarray, hyper: Hyperparameters) -> float:
-    """Covariance between two input points; the delta fires on exact equality."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape or x.size != hyper.n_dims:
-        raise ValueError("kernel input dimensions do not match the hyperparameters")
-    diff = x - x2
-    value = hyper.signal_var * np.exp(-0.5 * np.sum(diff * diff / hyper.sq_lengths))
-    if np.array_equal(x, x2):
-        value += hyper.jitter_var
-    return float(value)
-
-
 def _pairwise_sqdists(X: np.ndarray) -> np.ndarray:
     """(M, N, N) stack of per-dimension squared distances."""
     diff = X[:, None, :] - X[None, :, :]
@@ -123,27 +110,20 @@ def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> flo
     return posterior(inputs, np.asarray(targets, dtype=float), hyper).final_nlml
 
 
-def _theta_split(theta: np.ndarray, m: int, fixed_log_jitter: float | None):
-    log_ell = theta[:m]
-    log_sig2 = theta[m]
-    log_jit2 = fixed_log_jitter if fixed_log_jitter is not None else theta[m + 1]
-    return log_ell, log_sig2, log_jit2
-
-
 def _nlml_value_grad(theta: np.ndarray, sqdists: np.ndarray,
-                     targets: np.ndarray,
-                     fixed_log_jitter: float | None) -> tuple[float, np.ndarray]:
+                     targets: np.ndarray) -> tuple[float, np.ndarray]:
     """NLML and its gradient over the free log-hyperparameters.
 
-    Gradient of 0.5 log det C + 0.5 y^T C^{-1} y is
-    0.5 tr((C^{-1} - w w^T) dC/dtheta) with w = C^{-1} y.
+    ``theta`` is [log l_1..M, log rho1^2] for a zero jitter, or that plus
+    log rho2^2 for a free one.  Gradient of 0.5 log det C + 0.5 y^T C^{-1} y
+    is 0.5 tr((C^{-1} - w w^T) dC/dtheta) with w = C^{-1} y.
     """
     m = sqdists.shape[0]
-    log_ell, log_sig2, log_jit2 = _theta_split(theta, m, fixed_log_jitter)
+    free_jitter = theta.size == m + 2
     with np.errstate(over="ignore"):
-        ell = np.exp(log_ell)
-        sig2 = float(np.exp(log_sig2))
-        jit2 = float(np.exp(log_jit2))
+        ell = np.exp(theta[:m])
+        sig2 = float(np.exp(theta[m]))
+        jit2 = float(np.exp(theta[m + 1])) if free_jitter else 0.0
 
     k, k_se = _kernel_matrix(sqdists, ell, sig2, jit2)
     low = _cholesky(k)
@@ -158,7 +138,7 @@ def _nlml_value_grad(theta: np.ndarray, sqdists: np.ndarray,
         dk = k_se * (0.5 * sqdists[i] / ell[i])
         grad[i] = 0.5 * float(np.sum(a * dk))
     grad[m] = 0.5 * float(np.sum(a * k_se))
-    if fixed_log_jitter is None:
+    if free_jitter:
         grad[m + 1] = 0.5 * jit2 * float(np.trace(a))
     return value, grad
 
@@ -170,16 +150,12 @@ def nlml_gradient(hyper: Hyperparameters, inputs: np.ndarray,
     With zero jitter the last component is reported as 0.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    sqdists = _pairwise_sqdists(inputs)
-    if np.isneginf(hyper.log_jitter_var):
-        theta = np.concatenate([hyper.log_sq_lengths, [hyper.log_signal_var]])
-        _, grad = _nlml_value_grad(theta, sqdists, targets,
-                                   fixed_log_jitter=-np.inf)
-        return np.concatenate([grad, [0.0]])
-    _, grad = _nlml_value_grad(hyper.as_array(), sqdists, targets,
-                               fixed_log_jitter=None)
-    return grad
+    theta = hyper.as_array()
+    zero_jitter = np.isneginf(hyper.log_jitter_var)
+    _, grad = _nlml_value_grad(theta[:-1] if zero_jitter else theta,
+                               _pairwise_sqdists(inputs),
+                               np.asarray(targets, dtype=float))
+    return np.append(grad, 0.0) if zero_jitter else grad
 
 
 @dataclass
@@ -187,17 +163,16 @@ class GpTrainConfig:
     """Settings for hyperparameter optimization.
 
     ``jitter_floor`` of None means 1e-10 times the target variance; a floor
-    of exactly 0 trains a noise-free (interpolating) model.  When
-    ``optimize_jitter`` is False the jitter stays pinned at the floor.
-    Initial thetas in ``warm_starts`` are tried before the random restarts.
+    of exactly 0 pins the jitter at zero and trains a noise-free
+    (interpolating) model.  A ``warm_start`` is tried before the random
+    restarts.
     """
 
     restarts: int = 5
     max_iter: int = 100
     jitter_floor: float | None = None
-    optimize_jitter: bool = True
     seed: int = 0
-    warm_starts: list = field(default_factory=list)
+    warm_start: Hyperparameters | None = None
 
 
 @dataclass
@@ -257,49 +232,43 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     floor = config.jitter_floor
     if floor is None:
         floor = 1e-10 * target_var if target_var > 0 else 1e-12
-    if floor == 0.0 and np.unique(inputs, axis=0).shape[0] < n:
+    zero_jitter = floor == 0.0
+    if zero_jitter and np.unique(inputs, axis=0).shape[0] < n:
         # duplicated rows make the noise-free covariance exactly singular,
         # which rounding inside the factorization may fail to detect
         raise TrainingFailedError(
             "duplicate input rows with a zero jitter floor give a singular "
             "covariance matrix")
-
-    fixed_log_jitter = None
     log_floor = np.log(floor) if floor > 0 else -np.inf
-    if floor == 0.0 or not config.optimize_jitter:
-        fixed_log_jitter = log_floor
 
     spans = inputs.max(axis=0) - inputs.min(axis=0)
     spans = np.where(spans > 0, spans, 1.0)
     sig_scale = target_var if target_var > 0 else 1.0
 
     rng = np.random.default_rng(config.seed)
-    n_free = m + 1 if fixed_log_jitter is not None else m + 2
     inits = []
-    for theta in config.warm_starts:
-        theta = np.asarray(theta, dtype=float)
-        if theta.size == n_free:
-            inits.append(theta.copy())
+    if config.warm_start is not None:
+        if config.warm_start.n_dims != m:
+            raise ValueError(f"warm start has {config.warm_start.n_dims} "
+                             f"length scales, the inputs {m} dimensions")
+        inits.append(config.warm_start.as_array())
     for _ in range(max(config.restarts, 1)):
         log_ell = rng.uniform(np.log(0.01 * spans ** 2), np.log(10.0 * spans ** 2))
         log_sig2 = np.log(sig_scale) + rng.uniform(-1.0, 1.0)
-        theta = np.concatenate([log_ell, [log_sig2]])
-        if fixed_log_jitter is None:
-            theta = np.concatenate([theta, [log_floor]])
-        inits.append(theta)
+        inits.append(np.concatenate([log_ell, [log_sig2, log_floor]]))
+    if zero_jitter:   # the pinned jitter is not optimized
+        inits = [theta[:-1] for theta in inits]
 
     sqdists = _pairwise_sqdists(inputs)
     big = 1e25
 
     def objective(theta):
         try:
-            return _nlml_value_grad(theta, sqdists, targets, fixed_log_jitter)
+            return _nlml_value_grad(theta, sqdists, targets)
         except IllConditionedKernelError:
             return big, np.zeros(theta.size)
 
-    bounds = None
-    if fixed_log_jitter is None:
-        bounds = [(None, None)] * (m + 1) + [(log_floor, None)]
+    bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
 
     best_value = np.inf
     best_theta = None
@@ -319,8 +288,8 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
         raise TrainingFailedError(
             f"all {len(inits)} restarts failed (N={n}, M={m}, "
             f"jitter_floor={floor}); the kernel matrix is singular")
-    if fixed_log_jitter is not None:
-        best_theta = np.append(best_theta, fixed_log_jitter)
+    if zero_jitter:
+        best_theta = np.append(best_theta, -np.inf)
     return posterior(inputs, targets, Hyperparameters.from_array(best_theta),
                      sqdists)
 

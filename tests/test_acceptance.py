@@ -17,6 +17,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
+from anovagp import emulator
 from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
 from anovagp.bench import ExperimentConfig, run_experiment
 from anovagp.emulator import (load_emulator, predict_sgp_mean, save_emulator,
@@ -266,21 +267,30 @@ def test_criterion_8_per_term_rank(scaled_run):
     verdict(8, "per-term-rank", all(r <= 3 for r in ranks.values()))
 
 
-def test_criterion_9_active_training_oracle():
+def test_criterion_9_active_training_oracle(monkeypatch):
     tic = time.perf_counter()
     ok = True
     sim = analytic_bank("polynomial-mix", 3, 6)
     c = sim.anchor_point()
     cache = SimCache(sim)
+    steps = []   # (block, pool) at each active step
+
+    def spy(block, pool):
+        steps.append((block, pool))
+        return variance_indicator(block, pool)
+
+    monkeypatch.setattr(emulator, "variance_indicator", spy)
     for t, budget in (((1,), 12), ((1, 2), 29)):
+        steps.clear()
         _, dataset = term_mean(t, sim, c, cache)
         local = train_local(t, dataset, budget, sim, c, cache, pool_size=80,
-                            seed=3, gp_config=GpTrainConfig(restarts=2),
-                            record_trace=True)
-        ok &= len(local.acquisition_trace) == budget - dataset.grid.n_points
-        for step in local.acquisition_trace:
-            tau = variance_indicator(step["block"], step["pool"])
-            ok &= step["chosen"] == int(np.argmax(tau))
+                            seed=3, gp_config=GpTrainConfig(restarts=2))
+        n0 = dataset.grid.n_points
+        ok &= len(steps) == budget - n0
+        for k, (block, pool) in enumerate(steps):
+            tau = variance_indicator(block, pool)
+            ok &= np.array_equal(local.train_inputs[n0 + k],
+                                 pool[int(np.argmax(tau))])
     ok &= time.perf_counter() - tic < 60.0
     verdict(9, "active-training-oracle", ok)
 

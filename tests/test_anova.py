@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anovagp.anova import (SimCache, adaptive_decompose, contribution_weight,
-                           embed, normalize_index, term_mean, term_value)
+                           embed, term_mean, term_value)
 from anovagp.exceptions import DegenerateReferenceError
 from anovagp.simulators import Simulator, analytic_bank
 
@@ -231,10 +231,3 @@ class TestAdaptiveDecompose:
         with pytest.raises(DegenerateReferenceError):
             adaptive_decompose(sim, tol_index=1e-8)
 
-
-def test_normalize_index_validation():
-    assert normalize_index([3, 1]) == (1, 3)
-    with pytest.raises(ValueError):
-        normalize_index([1, 1])
-    with pytest.raises(ValueError):
-        normalize_index([0, 2])

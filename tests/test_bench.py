@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from anovagp.anova import index_order_key
-from anovagp.bench import (ExperimentConfig, derive_seed, load_config,
-                           relative_error, run_experiment)
+from anovagp.anova import IndexSelection
+from anovagp.bench import (ExperimentConfig, build_simulator, derive_seed,
+                           load_config, relative_error, run_experiment)
 from anovagp.cli import main
+from anovagp.emulator import load_emulator
 from anovagp.exceptions import ConfigError
 
 CHEAP = {
@@ -45,22 +46,46 @@ class TestRelativeError:
             relative_error(np.ones(2), np.zeros(2))
 
 
+def selection(*indices):
+    """An IndexSelection holding the given indices, grouped by order in the
+    order given."""
+    orders = {}
+    for t in indices:
+        orders.setdefault(len(t), []).append(t)
+    return IndexSelection(orders=orders)
+
+
 class TestIndexOrder:
+    """``IndexSelection.indices`` is the one alphabetical term order."""
+
     def test_order_dominates(self):
-        assert sorted([(3,), (1, 2)], key=index_order_key) == [(3,), (1, 2)]
-        assert sorted([(1, 2), (3,)], key=index_order_key) == [(3,), (1, 2)]
+        assert selection((3,), (1, 2)).indices == [(3,), (1, 2)]
+        assert selection((1, 2), (3,)).indices == [(3,), (1, 2)]
 
     def test_lexicographic_within_order(self):
-        assert sorted([(1, 3), (2, 3)], key=index_order_key) == [(1, 3), (2, 3)]
-        assert sorted([(2, 3), (1, 3)], key=index_order_key) == [(1, 3), (2, 3)]
+        assert selection((1, 3), (2, 3)).indices == [(1, 3), (2, 3)]
+        assert selection((2, 3), (1, 3)).indices == [(1, 3), (2, 3)]
 
     def test_equal(self):
-        assert index_order_key((1, 2)) == index_order_key((1, 2))
+        assert (selection((), (1, 2), (2,), (1,)).indices
+                == selection((1,), (1, 2), (), (2,)).indices
+                == [(), (1,), (2,), (1, 2)])
 
     def test_sorting(self):
         items = [(2, 3), (1,), (1, 2), (3,), (1, 2, 3)]
-        items.sort(key=index_order_key)
-        assert items == [(1,), (3,), (1, 2), (2, 3), (1, 2, 3)]
+        assert selection(*items).indices == [(1,), (3,), (1, 2), (2, 3),
+                                             (1, 2, 3)]
+
+    def test_dict_roundtrip(self):
+        sel = selection((), (2,), (1,), (1, 2))
+        sel.weights = {(1,): 0.5, (2,): 0.25, (1, 2): 1e-3}
+        sel.candidate_counts = {1: 2, 2: 1}
+        data = json.loads(json.dumps(sel.to_dict()))
+        assert data["orders"] == {"0": [[]], "1": [[1], [2]], "2": [[1, 2]]}
+        again = IndexSelection.from_dict(data)
+        assert again.indices == sel.indices
+        assert again.weights == sel.weights
+        assert again.candidate_counts == sel.candidate_counts
 
 
 class TestDeriveSeed:
@@ -101,6 +126,37 @@ class TestConfig:
         data.update(patch)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("patch", [
+        {"n_train": 2.5},
+        {"n_test": True},
+        {"max_order": True},
+        {"seed": "x"},
+        {"seed": -1},
+        {"gp_restarts": -3},
+        {"sgp_gp_max_iter": 0},
+        {"gp_max_iter": 0},
+        {"sgp_gp_restarts": 0},
+        {"sgp_budget": True},
+        {"tol_index": True},
+        {"tol_index": "nan"},
+        {"simulator": "filename"},
+        {"simulator": {"name": "additive", "m": 2, "outputdim": 5}},
+        {"simulator": {"name": "additive", "m": 2.5}},
+        {"simulator": {"name": "diffusion", "elements": 8}},
+        {"simulator": {"name": "diffusion", "k_side": True}},
+        {"simulator": {"name": ["diffusion"]}},
+    ])
+    def test_bad_values_exit_code(self, tmp_path, capsys, patch):
+        """Each bad value raises ConfigError and exits 2 from the CLI,
+        whether ``load_config`` or ``build_simulator`` catches it."""
+        data = {**CHEAP, **patch}
+        with pytest.raises(ConfigError):
+            build_simulator(ExperimentConfig.from_dict(data).simulator)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["decompose", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
     def test_load_json_and_yaml(self, tmp_path):
         jpath = tmp_path / "c.json"
@@ -242,6 +298,37 @@ class TestCli:
         assert main(["inspect", "--emulator", str(out / "sgp.npz"),
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "sgp"
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--config", "p.json", "--emulator", "e.npz", "--seed", "1"],
+        ["predict", "--config", "p.json", "--emulator", "e.npz",
+         "--format", "csv"],
+        ["inspect", "--emulator", "e.npz", "--seed", "1"],
+        ["inspect", "--emulator", "e.npz", "--out", "x"],
+        ["decompose", "--config", "c.json", "--format", "csv"],
+        ["train", "--config", "c.json", "--format", "json"],
+    ])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_inspect_sgp_csv(self, report, capsys):
+        _, out = report
+        capsys.readouterr()
+        assert main(["inspect", "--emulator", str(out / "sgp.npz"),
+                     "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "config"
+        assert main(["inspect", "--emulator", str(out / "anova_gp.npz"),
+                     "--format", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        locals_map = load_emulator(str(out / "anova_gp.npz")).locals
+        assert rows == [["index", "rank", "n_train"]] + [
+            [str(t[0]), str(block.rank), "8"] for t, block in locals_map.items()]
+        assert list(locals_map) == [(1,), (2,)]
 
     def test_seed_override(self, tmp_path, config_path, capsys):
         out_a = tmp_path / "a"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from anovagp import emulator
 from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
 from anovagp.emulator import (assemble, load_emulator, predict_sgp_mean,
                               save_emulator, train_local, train_sgp,
@@ -32,14 +33,28 @@ class ConstantSimulator(Simulator):
         return np.array(self.value)
 
 
-def make_local(sim, t, n_train=8, seed=0, record_trace=False, pool_size=40):
+def make_local(sim, t, n_train=8, seed=0, pool_size=40, gp_config=FAST_GP):
     c = sim.anchor_point()
     cache = SimCache(sim)
     _, dataset = term_mean(t, sim, c, cache)
     local = train_local(t, dataset, n_train, sim, c, cache,
-                        pool_size=pool_size, seed=seed, gp_config=FAST_GP,
-                        record_trace=record_trace)
+                        pool_size=pool_size, seed=seed, gp_config=gp_config)
     return local, c, cache
+
+
+def spy_on(monkeypatch, name):
+    """Record the positional arguments and the result of every call made to
+    the ``emulator`` module function ``name``."""
+    calls = []
+    original = getattr(emulator, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(emulator, name, spy)
+    return calls
 
 
 class TestVarianceIndicator:
@@ -99,25 +114,50 @@ class TestTrainLocal:
         # no active evaluations happen beyond the quadrature grid
         assert local.train_inputs.shape[0] == 25
 
-    def test_acquisition_is_argmax_of_indicator(self):
+    def test_acquisition_is_argmax_of_indicator(self, monkeypatch):
         sim = analytic_bank("polynomial-mix", 2, 5)
-        local, _, _ = make_local(sim, (1,), n_train=9, record_trace=True)
-        assert len(local.acquisition_trace) == 9 - 5
-        for step in local.acquisition_trace:
-            tau = variance_indicator(step["block"], step["pool"])
-            assert step["chosen"] == int(np.argmax(tau))
+        steps = spy_on(monkeypatch, "variance_indicator")
+        local, _, _ = make_local(sim, (1,), n_train=9)
+        assert len(steps) == 9 - 5
+        for k, ((block, pool), tau) in enumerate(steps):
+            assert np.array_equal(block.train_inputs, local.train_inputs[:5 + k])
+            assert np.array_equal(local.train_inputs[5 + k],
+                                  pool[int(np.argmax(tau))])
 
-    def test_trace_matches_pointwise_indicator(self):
+    def test_trace_matches_pointwise_indicator(self, monkeypatch):
         sim = analytic_bank("additive", 2, 4)
-        local, _, _ = make_local(sim, (2,), n_train=7, record_trace=True)
-        step = local.acquisition_trace[0]
-        block = step["block"]
+        steps = spy_on(monkeypatch, "variance_indicator")
+        local, _, _ = make_local(sim, (2,), n_train=7)
+        (block, pool), _ = steps[0]
         assert np.array_equal(block.train_inputs, local.train_inputs[:5])
         lam = block.pca.eigenvalues
         taus = [sum(lam[r] * predict(g, x)[1]
                     for r, g in enumerate(block.mode_gps)) / lam.sum()
-                for x in step["pool"]]
-        assert step["chosen"] == int(np.argmax(taus))
+                for x in pool]
+        assert np.array_equal(local.train_inputs[5], pool[int(np.argmax(taus))])
+
+    @pytest.mark.parametrize("jitter_floor", [None, 0.0])
+    def test_refits_warm_start_from_previous(self, monkeypatch, jitter_floor):
+        sim = analytic_bank("polynomial-mix", 2, 5)
+        fits = spy_on(monkeypatch, "train_gp")
+        config = GpTrainConfig(restarts=3, max_iter=60,
+                               jitter_floor=jitter_floor)
+        local, _, _ = make_local(sim, (1,), n_train=9, gp_config=config)
+        # one refit trains every mode on the same inputs array
+        refits = []
+        for (inputs, _, cfg), model in fits:
+            if not refits or refits[-1][0][0] is not inputs:
+                refits.append([])
+            refits[-1].append((inputs, cfg, model))
+        assert len(refits) == 9 - 5 + 1
+        assert local.rank >= 1
+        assert all(cfg.warm_start is None and cfg.restarts == 3
+                   for _, cfg, _ in refits[0])
+        for previous, current in zip(refits, refits[1:]):
+            for r, (_, cfg, _) in enumerate(current):
+                if r < len(previous):
+                    assert cfg.restarts == 1
+                    assert cfg.warm_start is previous[r][2].hyper
 
     def test_acquired_values_are_term_values(self):
         sim = analytic_bank("polynomial-mix", 3, 5)

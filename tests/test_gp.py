@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anovagp.exceptions import TrainingFailedError
-from anovagp.gp import (GpTrainConfig, Hyperparameters, kernel, nlml,
+from anovagp.gp import (GpModel, GpTrainConfig, Hyperparameters,
+                        _kernel_matrix, _pairwise_sqdists, cross_kernel, nlml,
                         nlml_gradient, predict, predict_batch, train_gp)
 
 
@@ -15,33 +19,54 @@ def make_hyper(sq_lengths, signal_var, jitter_var):
 
 
 class TestKernel:
+    """The training covariance (``_kernel_matrix``) and the covariances
+    against a fresh point (``cross_kernel``)."""
+
+    @staticmethod
+    def matrix(X, h):
+        k, _ = _kernel_matrix(_pairwise_sqdists(X), h.sq_lengths, h.signal_var,
+                              h.jitter_var)
+        return k
+
     def test_same_point(self):
         h = make_hyper([1.0, 2.0], 1.5, 0.25)
-        x = np.array([0.3, 0.7])
-        assert np.isclose(kernel(x, x, h), 1.5 + 0.25)
+        X = np.array([[0.3, 0.7]])
+        # the jitter sits on the training diagonal, never against a fresh point
+        assert np.isclose(self.matrix(X, h)[0, 0], 1.5 + 0.25)
+        assert np.isclose(cross_kernel(X, X[0], h)[0], 1.5)
 
     def test_unit_distance(self):
         h = make_hyper([1.0], 1.0, 0.0)
-        assert np.isclose(kernel(np.array([0.0]), np.array([np.sqrt(2.0)]), h),
-                          np.exp(-1.0))
+        X = np.array([[0.0], [np.sqrt(2.0)]])
+        assert np.isclose(self.matrix(X, h)[0, 1], np.exp(-1.0))
+        assert np.isclose(cross_kernel(X[:1], X[1], h)[0], np.exp(-1.0))
 
     def test_zero_signal(self):
         h = make_hyper([1.0], 1e-300, 0.5)
-        x, y = np.array([0.1]), np.array([0.2])
-        assert kernel(x, y, h) < 1e-200
-        assert np.isclose(kernel(x, x, h), 0.5)
+        X = np.array([[0.1], [0.2]])
+        k = self.matrix(X, h)
+        assert k[0, 1] < 1e-200
+        assert cross_kernel(X[:1], X[1], h)[0] < 1e-200
+        assert np.isclose(k[0, 0], 0.5)
 
     def test_symmetry(self):
         h = make_hyper([0.5, 2.0, 1.0], 1.2, 0.1)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert kernel(x, y, h) == kernel(y, x, h)
+        X = rng.standard_normal((5, 3))
+        k = self.matrix(X, h)
+        assert np.array_equal(k, k.T)
+        for x, y in zip(X, rng.standard_normal((5, 3))):
+            assert (cross_kernel(x[None], y, h)[0]
+                    == cross_kernel(y[None], x, h)[0])
 
     def test_dimension_mismatch(self):
         h = make_hyper([1.0, 1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
-            kernel(np.zeros(3), np.zeros(3), h)
+            self.matrix(np.zeros((2, 3)), h)
+        with pytest.raises(ValueError):
+            cross_kernel(np.zeros((2, 3)), np.zeros(3), h)
+        with pytest.raises(ValueError):
+            cross_kernel(np.zeros((2, 2)), np.zeros(3), h)
 
 
 class TestNlml:
@@ -68,7 +93,64 @@ class TestNlml:
         assert np.isclose(nlml(h, X, y), expected, rtol=1e-12)
 
 
+_U = np.finfo(float).eps / 2   # unit roundoff
+_FD_STEP = 1e-6
+
+
+@st.composite
+def gradient_cases(draw):
+    """(X, y, hyper) whose covariance has a condition number below ~2e3.
+
+    A free jitter of at least e^-4 bounds the smallest eigenvalue.  With zero
+    jitter the rows are distinct lattice points and the squared lengths at
+    most 0.2, so for M <= 3 the off-diagonal row sums stay below 0.58 of the
+    diagonal and the condition number below 4.
+    """
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=2,
+                             max_size=min(12, 5 ** m), unique=True))
+        X = np.array(rows, dtype=float)
+        log_ell = draw(arrays(float, m, elements=st.floats(-4.0, np.log(0.2))))
+        log_jit = -np.inf
+    else:
+        n = draw(st.integers(2, 12))
+        X = draw(arrays(float, (n, m), elements=st.floats(0.0, 1.0)))
+        log_ell = draw(arrays(float, m, elements=st.floats(-4.0, 1.5)))
+        log_jit = draw(st.floats(-4.0, 0.0))
+    y = draw(arrays(float, len(X), elements=st.floats(-3.0, 3.0)))
+    return X, y, Hyperparameters(log_ell, draw(st.floats(-1.0, 1.0)), log_jit)
+
+
 class TestGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(case=gradient_cases())
+    def test_property_finite_differences(self, case):
+        """Central differences of ``nlml`` agree with ``nlml_gradient``.
+
+        The tolerance is fixed by the error model, not fitted: the relative
+        1e-5 of the hand-picked test below, plus the worst-case rounding of
+        two NLML evaluations divided by the step, kappa N u (N + y^T C^-1 y)
+        / h, for Cholesky on a matrix of condition number kappa.
+        """
+        X, y, hyper = case
+        grad = nlml_gradient(hyper, X, y)
+        zero_jitter = bool(np.isneginf(hyper.log_jitter_var))
+        if zero_jitter:
+            assert grad[-1] == 0.0
+        k = TestKernel.matrix(X, hyper)
+        n = len(y)
+        quad = abs(float(y @ np.linalg.solve(k, y)))
+        rounding = np.linalg.cond(k) * n * _U * (n + quad) / _FD_STEP
+        theta = hyper.as_array()
+        for i in range(theta.size - zero_jitter):
+            tp, tm = theta.copy(), theta.copy()
+            tp[i] += _FD_STEP
+            tm[i] -= _FD_STEP
+            fd = (nlml(Hyperparameters.from_array(tp), X, y)
+                  - nlml(Hyperparameters.from_array(tm), X, y)) / (2 * _FD_STEP)
+            assert abs(grad[i] - fd) <= 1e-5 * max(abs(fd), 1.0) + rounding
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -152,12 +234,35 @@ class TestTraining:
         X = rng.uniform(0, 1, (8, 1))
         y = np.sin(2 * X[:, 0])
         base = train_gp(X, y, GpTrainConfig(restarts=3, seed=0))
-        theta = np.concatenate([base.hyper.log_sq_lengths,
-                                [base.hyper.log_signal_var,
-                                 base.hyper.log_jitter_var]])
         warm = train_gp(X, y, GpTrainConfig(restarts=1, seed=99,
-                                            warm_starts=[theta]))
+                                            warm_start=base.hyper))
         assert warm.final_nlml <= base.final_nlml + 1e-8
+
+    def test_warm_start_zero_jitter(self):
+        # the pinned zero jitter drops the warm start's jitter entry
+        X = np.linspace(0, 1, 7)[:, None]
+        y = np.sin(3 * X[:, 0])
+        cfg = GpTrainConfig(restarts=3, seed=0, jitter_floor=0.0)
+        base = train_gp(X, y, cfg)
+        warm = train_gp(X, y, GpTrainConfig(restarts=1, seed=99,
+                                            jitter_floor=0.0,
+                                            warm_start=base.hyper))
+        assert np.isneginf(warm.hyper.log_jitter_var)
+        assert warm.final_nlml <= base.final_nlml + 1e-8
+        # so does a warm start whose jitter is free
+        noisy = train_gp(X, y, GpTrainConfig(restarts=1, seed=99))
+        assert np.isfinite(noisy.hyper.log_jitter_var)
+        pinned = train_gp(X, y, GpTrainConfig(restarts=1, jitter_floor=0.0,
+                                              warm_start=noisy.hyper))
+        assert np.isneginf(pinned.hyper.log_jitter_var)
+
+    def test_warm_start_wrong_dims(self):
+        X = np.random.default_rng(3).uniform(0, 1, (8, 2))
+        y = X[:, 0] - X[:, 1]
+        for dims in (1, 3):
+            hyper = make_hyper(np.ones(dims), 1.0, 1e-6)
+            with pytest.raises(ValueError):
+                train_gp(X, y, GpTrainConfig(warm_start=hyper))
 
 
 class TestPredict:
@@ -204,13 +309,10 @@ class TestPredict:
         perm = np.random.default_rng(6).permutation(model.n_train)
         shuffled = train_gp(model.inputs[perm], model.targets[perm],
                             GpTrainConfig(restarts=1, jitter_floor=0.0,
-                                          warm_starts=[np.concatenate([
-                                              model.hyper.log_sq_lengths,
-                                              [model.hyper.log_signal_var]])]))
+                                          warm_start=model.hyper))
         x = np.array([0.33, 0.77])
         m1, v1 = predict(model, x)
         # rebuild with identical hyperparameters on permuted data
-        from anovagp.gp import GpModel, _kernel_matrix, _pairwise_sqdists
         from scipy.linalg import cho_solve, cholesky
         k, _ = _kernel_matrix(_pairwise_sqdists(model.inputs[perm]),
                               model.hyper.sq_lengths, model.hyper.signal_var,
