@@ -132,27 +132,33 @@ def embed(xi_t: np.ndarray, t: AnovaIndex, c: np.ndarray) -> np.ndarray:
 
 def term_value(t: AnovaIndex, xi_t: np.ndarray, sim: Simulator,
                c: np.ndarray, cache: SimCache) -> np.ndarray:
-    """Anchored ANOVA term u_t at xi_t, by recursion over proper subsets.
+    """Anchored ANOVA term u_t at one point (k,) or at rows (n, k).
 
-    All simulator calls go through ``cache``; a term of order k touches at
-    most 2^k distinct embedded points.
+    By inclusion-exclusion, u_t(x) = sum over s subset of t of
+    (-1)^(|t|-|s|) u(embed_s(x)).  Each distinct embedded point goes
+    through ``cache`` once per call, so a term of order k touches at most
+    2^k distinct points per row.  Returns (d,) for a point, (n, d) for rows.
     """
     t = tuple(t)
-    xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    memo: dict[AnovaIndex, np.ndarray] = {}
-
-    def value(sub: AnovaIndex) -> np.ndarray:
-        if sub in memo:
-            return memo[sub]
-        xi_sub = xi_t[[t.index(i) for i in sub]]
-        total = np.array(cache.evaluate(embed(xi_sub, sub, c)))
-        for k in range(len(sub)):
-            for w in combinations(sub, k):
-                total -= value(w)
-        memo[sub] = total
-        return total
-
-    return value(t)
+    xi_t = np.asarray(xi_t, dtype=float)
+    rows = np.atleast_2d(xi_t)
+    if xi_t.ndim > 2 or rows.shape[1] != len(t):
+        raise ValueError(f"xi_t has shape {xi_t.shape}, index has "
+                         f"{len(t)} coords")
+    total = 0.0
+    for k in range(len(t) + 1):
+        sign = (-1.0) ** (len(t) - k)
+        for cols in combinations(range(len(t)), k):
+            sub = tuple(t[j] for j in cols)
+            points = rows[:, list(cols)]
+            # distinct points by their bytes, as SimCache tells them apart
+            outputs: dict[bytes, np.ndarray] = {}
+            for p in points:
+                if p.tobytes() not in outputs:
+                    outputs[p.tobytes()] = cache.evaluate(embed(p, sub, c))
+            total = total + sign * np.stack([outputs[p.tobytes()]
+                                             for p in points])
+    return total if xi_t.ndim == 2 else total[0]
 
 
 def term_mean(t: AnovaIndex, sim: Simulator, c: np.ndarray, cache: SimCache,
@@ -169,7 +175,7 @@ def term_mean(t: AnovaIndex, sim: Simulator, c: np.ndarray, cache: SimCache,
     base = cc_rule(nodes_per_dim)
     rules = [map_rule(base, tuple(sim.intervals[i - 1])) for i in t]
     grid = tensor_grid(t, rules)
-    values = np.stack([term_value(t, p, sim, c, cache) for p in grid.points])
+    values = term_value(t, grid.points, sim, c, cache)
     density = sim.density_product(t, grid.points)
     mean = weighted_mean(values, grid, density)
     return mean, TermDataset(index=t, grid=grid, values=values)

@@ -58,7 +58,7 @@ _INT_MINIMUMS = {"nodes_per_dim": 1, "max_order": 1, "n_train": 1, "n_test": 1,
 
 # the keys each simulator block may hold besides "name"
 _SIMULATOR_KEYS = {
-    "diffusion": {"elements_per_side", "k_side", "coeff_interval", "solver"},
+    "diffusion": {"elements_per_side", "k_side", "coeff_interval"},
     **dict.fromkeys(("additive", "rank-one-product", "polynomial-mix"),
                     {"m", "output_dim"})}
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
-from .exceptions import ConfigError, UndefinedIndicatorError
+from .exceptions import ConfigError, TrainingFailedError, \
+    UndefinedIndicatorError
 from .gp import GpModel, GpTrainConfig, Hyperparameters, posterior, \
     predict_batch, train_gp
 from .pca import PcaModel, fit_pca
@@ -82,14 +83,26 @@ def variance_indicator(block: PcaGp, xs: np.ndarray) -> np.ndarray:
 
 
 def _train_modes(inputs, targets, base_config: GpTrainConfig,
-                 previous: list[GpModel] | None, refit_seed: int) -> list[GpModel]:
-    """Train one GP per PCA mode, warm-starting from the previous refit."""
+                 previous: list[GpModel] | None, refit: int,
+                 term: AnovaIndex | str) -> list[GpModel]:
+    """Train one GP per PCA mode, warm-starting from the previous refit.
+
+    A failed fit is raised again naming the term ("sgp" for the S-GP), the
+    mode and the stage.
+    """
     models = []
     for r in range(targets.shape[0]):
-        cfg = replace(base_config, seed=base_config.seed + 977 * refit_seed + r)
+        cfg = replace(base_config, seed=base_config.seed + 977 * refit + r)
         if previous is not None and r < len(previous):
             cfg = replace(cfg, warm_start=previous[r].hyper, restarts=1)
-        models.append(train_gp(inputs, targets[r], cfg))
+        try:
+            models.append(train_gp(inputs, targets[r], cfg))
+        except TrainingFailedError as err:
+            stage = ("train_sgp" if term == "sgp"
+                     else f"train_local refit {refit}")
+            raise TrainingFailedError(
+                str(err), term=term, mode=r,
+                stage=f"{stage} (N={len(inputs)})") from err
     return models
 
 
@@ -121,7 +134,8 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     refit = 0
     while True:
         pca_model, targets = fit_pca(values, tol_pca)
-        mode_gps = _train_modes(inputs, targets, gp_config, previous_gps, refit)
+        mode_gps = _train_modes(inputs, targets, gp_config, previous_gps,
+                                refit, t)
         block = PcaGp(coords=t, pca=pca_model, mode_gps=mode_gps,
                       train_inputs=inputs, train_values=values)
         if pca_model.rank == 0 or inputs.shape[0] >= n_train:
@@ -184,7 +198,7 @@ def train_sgp(sim: Simulator, n: int, tol_pca: float = 1e-2, seed: int = 0,
     evaluate = cache.evaluate if cache is not None else sim.evaluate
     outputs = np.stack([np.asarray(evaluate(x), dtype=float) for x in inputs])
     pca_model, targets = fit_pca(outputs, tol_pca)
-    mode_gps = _train_modes(inputs, targets, gp_config, None, 0)
+    mode_gps = _train_modes(inputs, targets, gp_config, None, 0, "sgp")
     return PcaGp(coords=tuple(range(1, sim.input_dim + 1)), pca=pca_model,
                  mode_gps=mode_gps, train_inputs=inputs, train_values=outputs)
 

@@ -14,7 +14,21 @@ class IllConditionedKernelError(AnovaGpError):
 
 
 class TrainingFailedError(AnovaGpError):
-    """Raised when every hyperparameter optimization restart fails."""
+    """Raised when every hyperparameter optimization restart fails.
+
+    Raised from a PCA + GP block, it carries and names in its message
+    ``term`` (an ANOVA index, or "sgp" for the baseline), ``mode`` (the PCA
+    mode) and ``stage`` (the pipeline stage and refit); all three are None
+    when ``train_gp`` is called directly.
+    """
+
+    def __init__(self, message, term=None, mode=None, stage=None):
+        if term is not None:
+            message = f"term {term}, mode {mode}, {stage}: {message}"
+        super().__init__(message)
+        self.term = term
+        self.mode = mode
+        self.stage = stage
 
 
 class SimulatorError(AnovaGpError):

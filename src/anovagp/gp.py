@@ -64,9 +64,9 @@ class Hyperparameters:
 
 
 def _pairwise_sqdists(X: np.ndarray) -> np.ndarray:
-    """(M, N, N) stack of per-dimension squared distances."""
-    diff = X[:, None, :] - X[None, :, :]
-    return np.moveaxis(diff * diff, -1, 0)
+    """(M, N, N) C-contiguous stack of per-dimension squared distances."""
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    return diff * diff
 
 
 def _kernel_matrix(sqdists: np.ndarray, sq_lengths: np.ndarray,
@@ -133,11 +133,11 @@ def _nlml_value_grad(theta: np.ndarray, sqdists: np.ndarray,
     k_inv = cho_solve((low, True), np.eye(k.shape[0]))
     a = k_inv - np.outer(w, w)
 
+    a_k = a * k_se
     grad = np.empty(theta.size)
-    for i in range(m):
-        dk = k_se * (0.5 * sqdists[i] / ell[i])
-        grad[i] = 0.5 * float(np.sum(a * dk))
-    grad[m] = 0.5 * float(np.sum(a * k_se))
+    # dC/dlog l_i = C_se * 0.5 D_i / l_i, with D_i the i-th squared distances
+    grad[:m] = 0.25 * (sqdists.reshape(m, -1) @ a_k.ravel()) / ell
+    grad[m] = 0.5 * float(np.sum(a_k))
     if free_jitter:
         grad[m + 1] = 0.5 * jit2 * float(np.trace(a))
     return value, grad

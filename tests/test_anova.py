@@ -4,11 +4,14 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anovagp import anova
 from anovagp.anova import (SimCache, adaptive_decompose, contribution_weight,
                            embed, term_mean, term_value)
 from anovagp.exceptions import DegenerateReferenceError
-from anovagp.simulators import Simulator, analytic_bank
+from anovagp.simulators import DiffusionSimulator, Simulator, analytic_bank
 
 
 class ConstantSimulator(Simulator):
@@ -32,6 +35,27 @@ class CallableSimulator(Simulator):
 
     def evaluate(self, xi):
         return np.asarray(self.func(np.asarray(xi, dtype=float)), dtype=float)
+
+
+EPS = np.finfo(float).eps / 2   # unit roundoff
+
+
+def pointwise_term_value(t, xi_t, c, cache):
+    """u_t at one point by the recursion u_t = u(embed_t(x)) minus the
+    terms of all proper subsets of t."""
+    memo = {}
+
+    def value(sub):
+        if sub not in memo:
+            total = np.array(cache.evaluate(
+                embed(xi_t[[t.index(i) for i in sub]], sub, c)))
+            for k in range(len(sub)):
+                for w in combinations(sub, k):
+                    total -= value(w)
+            memo[sub] = total
+        return memo[sub]
+
+    return value(t)
 
 
 def all_subsets(coords):
@@ -88,21 +112,57 @@ class TestTermValue:
 
     @pytest.mark.parametrize("name", ["additive", "rank-one-product",
                                       "polynomial-mix"])
-    def test_full_reconstruction(self, name):
-        # summing all 2^m anchored terms recovers the simulator exactly
-        m = 3
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_full_reconstruction(self, name, data):
+        """Summing all 2^m anchored terms recovers the simulator up to the
+        rounding of the sums.
+
+        u_t is a sum of 2^|t| signed outputs f_s = u(embed_s(x)), and the
+        total a sum of 2^m such terms, so its error is at most
+        gamma_{2^(m+1)} sum_t sum_{s subset of t} |f_s|
+        = gamma_{2^(m+1)} sum_s 2^(m-|s|) |f_s| in each output entry.
+        """
+        m = data.draw(st.integers(2, 4))
+        xi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m,
+                                         max_size=m)))
         sim = analytic_bank(name, m, 6)
         c = sim.anchor_point()
         cache = SimCache(sim)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            xi = rng.uniform(0, 1, m)
-            total = np.zeros(6)
-            for t in all_subsets(range(1, m + 1)):
-                total += term_value(t, xi[[i - 1 for i in t]], sim, c, cache)
-            truth = sim.evaluate(xi)
-            assert np.max(np.abs(total - truth)) < 1e-10 * max(
-                1.0, np.max(np.abs(truth)))
+        total = np.zeros(6)
+        scale = np.zeros(6)
+        for t in all_subsets(range(1, m + 1)):
+            x_t = xi[[i - 1 for i in t]]
+            total += term_value(t, x_t, sim, c, cache)
+            scale += 2 ** (m - len(t)) * np.abs(sim.evaluate(embed(x_t, t, c)))
+        n_ops = 2 ** (m + 1)
+        gamma = n_ops * EPS / (1 - n_ops * EPS)
+        assert np.all(np.abs(total - sim.evaluate(xi)) <= gamma * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["additive", "rank-one-product",
+                                 "polynomial-mix"]), data=st.data())
+    def test_rows_match_single_points(self, name, data):
+        """A batched call returns, row for row, the one-point result.
+
+        Each row is the same signed sum of the same cached vectors in the
+        same order, so the rows agree bit for bit.  Coordinates come from a
+        coarse lattice as well, so that rows share projected points.
+        """
+        m = data.draw(st.integers(2, 4))
+        t = tuple(sorted(data.draw(st.sets(st.integers(1, m), min_size=1))))
+        coord = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(0.0, 1.0))
+        rows = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=len(t), max_size=len(t)),
+            min_size=1, max_size=8)))
+        sim = analytic_bank(name, m, 5)
+        c = sim.anchor_point()
+        cache = SimCache(sim)
+        batched = term_value(t, rows, sim, c, cache)
+        assert batched.shape == (len(rows), 5)
+        for row, value in zip(rows, batched):
+            assert np.array_equal(value, term_value(t, row, sim, c, cache))
 
     def test_cache_coherence(self):
         sim = analytic_bank("additive", 3, 4)
@@ -225,6 +285,35 @@ class TestAdaptiveDecompose:
         # first candidate of order 1 sees the same reference either way
         t = (1,)
         assert running.selection.weights[t] == frozen.selection.weights[t]
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8]), k_side=st.integers(1, 2),
+           max_order=st.integers(1, 3), nodes=st.integers(2, 5),
+           tol=st.floats(1e-6, 1e-2))
+    def test_cache_misses_match_pointwise_recursion(self, n, k_side,
+                                                    max_order, nodes, tol):
+        """On a diffusion simulator, the batched terms solve exactly the
+        embedded points that the per-point recursion over proper subsets
+        solves, at every grid point of every scored candidate."""
+        sim = DiffusionSimulator(elements_per_side=n, k_side=k_side)
+        calls = []
+
+        def recording(t, xi_t, *args):
+            calls.append((tuple(t), np.array(xi_t)))
+            return term_value(t, xi_t, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anova, "term_value", recording)
+            result = adaptive_decompose(sim, tol_index=tol, nodes_per_dim=nodes,
+                                        max_order=max_order)
+        c = result.anchor
+        reference = SimCache(sim)
+        reference.evaluate(c)
+        for t, rows in calls:
+            for row in np.atleast_2d(rows):
+                pointwise_term_value(t, row, c, reference)
+        assert result.cache.misses == reference.misses == len(reference)
+        assert set(result.cache._store) == set(reference._store)
 
     def test_zero_anchor_output_degenerate(self):
         sim = ConstantSimulator(2, np.zeros(3))

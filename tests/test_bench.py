@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from anovagp import emulator
 from anovagp.anova import IndexSelection
 from anovagp.bench import (ExperimentConfig, build_simulator, derive_seed,
                            load_config, relative_error, run_experiment)
 from anovagp.cli import main
 from anovagp.emulator import load_emulator
-from anovagp.exceptions import ConfigError
+from anovagp.exceptions import ConfigError, TrainingFailedError
 
 CHEAP = {
     "simulator": {"name": "additive", "m": 2, "output_dim": 5},
@@ -146,6 +147,10 @@ class TestConfig:
         {"simulator": {"name": "diffusion", "elements": 8}},
         {"simulator": {"name": "diffusion", "k_side": True}},
         {"simulator": {"name": ["diffusion"]}},
+        *({"simulator": {"name": "diffusion", "coeff_interval": interval}}
+          for interval in ([0.0, 1.0], [1.0, 0.5], [0.5, 0.5], [-1.0, 1.0],
+                           [0.1, math.inf], [math.nan, 1.0], [0.1],
+                           [0.1, 0.5, 1.0], "ab")),
     ])
     def test_bad_values_exit_code(self, tmp_path, capsys, patch):
         """Each bad value raises ConfigError and exits 2 from the CLI,
@@ -313,6 +318,30 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width, n_rows, expected", [
+        (1, 7, "term (1,), mode 0, train_local refit 2 (N=7): "),
+        (2, 16, "term sgp, mode 0, train_sgp (N=16): "),
+    ])
+    def test_training_failure_names_source(self, tmp_path, config_path,
+                                           monkeypatch, capsys, width,
+                                           n_rows, expected):
+        """A failed GP fit exits 1 naming the term, the mode and the stage:
+        the first fit on 7 rows of a one-input term (its third refit) or
+        the first fit on the S-GP's two inputs."""
+        real_train_gp = emulator.train_gp
+
+        def failing(inputs, targets, config):
+            if inputs.shape == (n_rows, width):
+                raise TrainingFailedError("all restarts failed")
+            return real_train_gp(inputs, targets, config)
+
+        monkeypatch.setattr(emulator, "train_gp", failing)
+        assert main(["train", "--config", config_path,
+                     "--out", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "TrainingFailedError",
+                       "message": expected + "all restarts failed"}
 
     def test_inspect_sgp_csv(self, report, capsys):
         _, out = report

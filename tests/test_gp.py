@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve, cholesky
 
 from anovagp.exceptions import TrainingFailedError
 from anovagp.gp import (GpModel, GpTrainConfig, Hyperparameters,
@@ -150,6 +151,33 @@ class TestGradient:
             fd = (nlml(Hyperparameters.from_array(tp), X, y)
                   - nlml(Hyperparameters.from_array(tm), X, y)) / (2 * _FD_STEP)
             assert abs(grad[i] - fd) <= 1e-5 * max(abs(fd), 1.0) + rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=gradient_cases())
+    def test_property_matches_per_dimension_loop(self, case):
+        """The length-scale gradient, one matvec over all dimensions, agrees
+        with the per-dimension sum 0.5 sum(A * dC/dlog l_i).
+
+        Both sum the same N^2 products in another order, each product
+        carrying a few roundings, so entry i differs by at most
+        2 gamma_{N^2+4} * 0.25 sum |D_i A C_se| / l_i.
+        """
+        X, y, hyper = case
+        grad = nlml_gradient(hyper, X, y)
+        sqdists = _pairwise_sqdists(X)
+        ell = hyper.sq_lengths
+        k, k_se = _kernel_matrix(sqdists, ell, hyper.signal_var,
+                                 hyper.jitter_var)
+        low = cholesky(k, lower=True)   # A exactly as _nlml_value_grad forms it
+        w = cho_solve((low, True), y)
+        a = cho_solve((low, True), np.eye(len(y))) - np.outer(w, w)
+        n_ops = len(y) ** 2 + 4
+        gamma = n_ops * _U / (1 - n_ops * _U)
+        for i in range(hyper.n_dims):
+            loop = 0.5 * float(np.sum(a * (k_se * (0.5 * sqdists[i] / ell[i]))))
+            bound = 2 * gamma * 0.25 * float(
+                np.sum(np.abs(sqdists[i] * a * k_se))) / ell[i]
+            assert abs(grad[i] - loop) <= bound
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):

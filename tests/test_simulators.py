@@ -1,10 +1,17 @@
 """Tests for the diffusion FEM simulator and the analytic simulator bank."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from anovagp.cli import main
 from anovagp.exceptions import ConfigError, SimulatorError
-from anovagp.simulators import (AdditiveSimulator, DiffusionSimulator,
+from anovagp.simulators import (_K_REF, AdditiveSimulator, DiffusionSimulator,
                                 RankOneProductSimulator, analytic_bank)
 
 
@@ -20,6 +27,26 @@ def poisson_center_value():
             total += (64.0 / (np.pi ** 4 * m * n * (m * m + n * n))
                       * np.sin(m * np.pi / 2) * np.sin(n * np.pi / 2))
     return total
+
+
+EPS = np.finfo(float).eps / 2   # unit roundoff
+
+
+def stiffness(sim, xi):
+    """The full Q1 stiffness matrix, assembled from element matrices."""
+    coeff = xi[sim._elem_subdomain]
+    data = (coeff[:, None, None] * _K_REF[None]).reshape(-1)
+    return sp.coo_matrix((data, (sim._asm_rows, sim._asm_cols)),
+                         shape=(sim.output_dim, sim.output_dim)).tocsr()
+
+
+def sparse_lu_reference(sim, xi):
+    """The nodal solution by a sparse LU solve of the interior system."""
+    interior = sim._interior
+    a_ii = stiffness(sim, xi)[interior][:, interior]
+    u = np.zeros(sim.output_dim)
+    u[interior] = spla.spsolve(a_ii.tocsc(), np.full(interior.size, sim.h ** 2))
+    return u
 
 
 def center_value(sim, u):
@@ -75,12 +102,37 @@ class TestDiffusionOracle:
         assert np.all(grid[0] == 0) and np.all(grid[-1] == 0)
         assert np.all(grid[:, 0] == 0) and np.all(grid[:, -1] == 0)
 
-    def test_cg_matches_direct(self):
-        direct = DiffusionSimulator(elements_per_side=8, k_side=3)
-        cg = DiffusionSimulator(elements_per_side=8, k_side=3, solver="cg")
+    def test_matches_sparse_lu_reference(self):
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
         xi = np.linspace(0.2, 0.9, 9)
-        u1, u2 = direct.evaluate(xi), cg.evaluate(xi)
-        assert np.max(np.abs(u1 - u2)) < 1e-9 * np.max(np.abs(u1))
+        u, ref = sim.evaluate(xi), sparse_lu_reference(sim, xi)
+        assert np.max(np.abs(u - ref)) < 1e-9 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 16), k_side=st.integers(1, 3), data=st.data())
+    def test_property_matches_sparse_lu(self, n, k_side, data):
+        """The banded Cholesky solve agrees with a sparse LU solve of the
+        same system over random coefficients in the box.
+
+        The banded Cholesky of an SPD matrix with bandwidth w has a
+        backward error below (w+1) gamma_{3(w+1)} ||A|| in the 2-norm
+        (Higham, Accuracy and Stability, Thm 10.4); sparse LU on an SPD
+        system is backward stable with an error of the same order.  Each
+        solution is then within kappa_2(A) times that relative error of the
+        exact one, and the two differ by at most twice as much.
+        """
+        assume(k_side != 2 or n % 2 == 0)   # centroids off partition lines
+        sim = DiffusionSimulator(elements_per_side=n, k_side=k_side)
+        xi = np.array(data.draw(st.lists(
+            st.floats(0.01, 1.0), min_size=sim.input_dim,
+            max_size=sim.input_dim)))
+        u = sim.evaluate(xi)[sim._interior]
+        ref = sparse_lu_reference(sim, xi)[sim._interior]
+        a_ii = stiffness(sim, xi)[sim._interior][:, sim._interior].toarray()
+        w = n
+        gamma = 3 * (w + 1) * EPS / (1 - 3 * (w + 1) * EPS)
+        bound = 2 * np.linalg.cond(a_ii) * (w + 1) * gamma
+        assert np.linalg.norm(u - ref) <= bound * np.linalg.norm(ref)
 
     def test_deterministic_and_pure(self):
         sim = DiffusionSimulator(elements_per_side=8, k_side=3)
@@ -124,15 +176,28 @@ class TestDiffusionValidation:
         with pytest.raises(SimulatorError):
             sim.evaluate(xi)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient(self, value):
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
+        xi = np.ones(9)
+        xi[4] = value
+        with pytest.raises(SimulatorError, match="positive and finite"):
+            sim.evaluate(xi)
+
     def test_centroid_on_partition_line_rejected(self):
         # with 3 elements per side and 2 subdomains, the middle element's
         # centroid sits exactly on the partition line
         with pytest.raises(ConfigError):
             DiffusionSimulator(elements_per_side=3, k_side=2)
 
-    def test_bad_solver(self):
-        with pytest.raises(ConfigError):
-            DiffusionSimulator(elements_per_side=8, solver="gmres")
+    def test_bad_solver(self, tmp_path, capsys):
+        # the solver is always the banded Cholesky; the key is unknown
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"simulator": {
+            "name": "diffusion", "elements_per_side": 8, "solver": "cg"}}))
+        assert main(["decompose", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "solver" in err["message"]
 
     def test_dimensions(self):
         sim = DiffusionSimulator(elements_per_side=32, k_side=3)
