@@ -27,8 +27,8 @@ import numpy as np
 from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
-from .gp import GpModel, GpTrainConfig, Hyperparameters, posterior, \
-    predict_batch, train_gp
+from .gp import GpModel, GpTrainConfig, Hyperparameters, cross_kernel, \
+    posterior, predict_batch, train_gp
 from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
@@ -62,9 +62,13 @@ class PcaGp:
         return self.pca.rank
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        """Predictive mean V M + mu at one point (|coords|,) or rows."""
+        """Predictive mean V M + mu at one point (|coords|,) or rows.
+
+        The per-mode means are c* . w; no variance is computed.
+        """
         xs, single = _as_rows(x, len(self.coords))
-        means = np.array([predict_batch(g, xs)[0] for g in self.mode_gps])
+        means = np.array([cross_kernel(g.inputs, xs, g.hyper) @ g.weights
+                          for g in self.mode_gps])
         out = means.reshape(self.rank, len(xs)).T @ self.pca.components.T
         out += self.pca.mean
         return out[0] if single else out

@@ -6,15 +6,18 @@ delta (applied per training index, i.e. on the covariance diagonal; a fresh
 prediction point never receives jitter against the training set).  The prior
 mean is zero.  Hyperparameters are stored and optimized in log space;
 training minimizes the negative log marginal likelihood with L-BFGS-B from
-randomized scale-aware starts and keeps the best restart.
+randomized scale-aware starts and keeps the best restart.  The training
+covariance is assembled from its strictly lower pairs (i > j) and handled by
+direct LAPACK calls that read only the lower triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .exceptions import IllConditionedKernelError, TrainingFailedError
@@ -63,26 +66,68 @@ class Hyperparameters:
                    log_jitter_var=float(theta[-1]))
 
 
-def _pairwise_sqdists(X: np.ndarray) -> np.ndarray:
-    """(M, N, N) C-contiguous stack of per-dimension squared distances."""
-    diff = X.T[:, :, None] - X.T[:, None, :]
-    return diff * diff
+class Pairs(NamedTuple):
+    """The strictly lower pairs (i > j) of N training rows.
+
+    ``sqdists`` is the (M, N(N-1)/2) C-contiguous array of per-dimension
+    squared differences; ``flat`` holds each pair's offset j N + i in an
+    (N, N) Fortran-ordered matrix, i.e. its place in the lower triangle.
+    """
+
+    sqdists: np.ndarray
+    flat: np.ndarray
+    n: int
 
 
-def _kernel_matrix(sqdists: np.ndarray, sq_lengths: np.ndarray,
-                   signal_var: float, jitter_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Training covariance matrix and its jitter-free part."""
-    # out-of-range hyperparameters may overflow here; the caller checks
-    # the result for finiteness before factorizing
+def _pairs(X: np.ndarray) -> Pairs:
+    n = X.shape[0]
+    rows, cols = np.tril_indices(n, -1)
+    xt = np.ascontiguousarray(X.T)
+    diff = np.take(xt, rows, axis=1) - np.take(xt, cols, axis=1)
+    diff *= diff
+    return Pairs(diff, cols * n + rows, n)
+
+
+def _pair_covariances(pairs: Pairs, sq_lengths: np.ndarray,
+                      signal_var: float) -> np.ndarray:
+    """Jitter-free covariances rho1^2 exp(-0.5 sum_i D_i / l_i) of the pairs."""
+    # out-of-range hyperparameters may overflow here; _cholesky checks the
+    # result for finiteness before factorizing
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q = np.tensordot(1.0 / sq_lengths, sqdists, axes=(0, 0))
-        k_se = signal_var * np.exp(-0.5 * q)
-        return k_se + jitter_var * np.eye(k_se.shape[0]), k_se
+        return signal_var * np.exp((-0.5 / sq_lengths) @ pairs.sqdists)
+
+
+def _cholesky(pairs: Pairs, k: np.ndarray, diag: float) -> np.ndarray:
+    """Lower Cholesky factor of the training covariance with off-diagonal
+    pair covariances ``k`` and diagonal ``diag``.
+
+    The factor is Fortran-ordered with zeros above the diagonal; LAPACK
+    reads and writes only the lower triangle.
+    """
+    if not (np.isfinite(diag) and np.all(np.isfinite(k))):
+        raise IllConditionedKernelError("kernel matrix has non-finite entries")
+    n = pairs.n
+    c = np.zeros(n * n)
+    c[pairs.flat] = k
+    c[::n + 1] = diag
+    low, info = dpotrf(c.reshape(n, n, order="F"), lower=1, clean=0,
+                       overwrite_a=1)
+    if info != 0:
+        raise IllConditionedKernelError(
+            f"kernel matrix is not positive definite (dpotrf info {info})")
+    return low
+
+
+def _solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C^{-1} b from the lower Cholesky factor of C."""
+    x, _ = dpotrs(low, b, lower=1)
+    return x
 
 
 def cross_kernel(X: np.ndarray, x: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
-    """Covariances between each training row and a fresh point (no jitter)."""
-    diff = X - x[None, :]
+    """Covariances between the training rows and a fresh point (N,), or
+    rows of fresh points (n, N); no jitter."""
+    diff = X - x[..., None, :]
     q = (diff * diff) @ (1.0 / hyper.sq_lengths)
     return hyper.signal_var * np.exp(-0.5 * q)
 
@@ -94,52 +139,49 @@ def _nlml_from_parts(chol_lower: np.ndarray, weights: np.ndarray,
     return 0.5 * logdet + 0.5 * float(targets @ weights) + 0.5 * n * _LOG_2PI
 
 
-def _cholesky(k: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a kernel matrix that must be positive definite."""
-    if not np.all(np.isfinite(k)):
-        raise IllConditionedKernelError("kernel matrix has non-finite entries")
-    try:
-        return cholesky(k, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise IllConditionedKernelError(str(err)) from err
-
-
 def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Negative log marginal likelihood of the targets under the kernel."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     return posterior(inputs, np.asarray(targets, dtype=float), hyper).final_nlml
 
 
-def _nlml_value_grad(theta: np.ndarray, sqdists: np.ndarray,
+def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
                      targets: np.ndarray) -> tuple[float, np.ndarray]:
     """NLML and its gradient over the free log-hyperparameters.
 
     ``theta`` is [log l_1..M, log rho1^2] for a zero jitter, or that plus
     log rho2^2 for a free one.  Gradient of 0.5 log det C + 0.5 y^T C^{-1} y
-    is 0.5 tr((C^{-1} - w w^T) dC/dtheta) with w = C^{-1} y.
+    is 0.5 tr(A dC/dtheta) with A = C^{-1} - w w^T and w = C^{-1} y; as A
+    and dC/dtheta are symmetric, the trace is a sum over the pairs i > j
+    plus the diagonal.
     """
-    m = sqdists.shape[0]
+    m = pairs.sqdists.shape[0]
     free_jitter = theta.size == m + 2
     with np.errstate(over="ignore"):
         ell = np.exp(theta[:m])
         sig2 = float(np.exp(theta[m]))
         jit2 = float(np.exp(theta[m + 1])) if free_jitter else 0.0
 
-    k, k_se = _kernel_matrix(sqdists, ell, sig2, jit2)
-    low = _cholesky(k)
-    w = cho_solve((low, True), targets)
+    k = _pair_covariances(pairs, ell, sig2)
+    low = _cholesky(pairs, k, sig2 + jit2)
+    w = _solve(low, targets)
     value = _nlml_from_parts(low, w, targets)
 
-    k_inv = cho_solve((low, True), np.eye(k.shape[0]))
-    a = k_inv - np.outer(w, w)
-
-    a_k = a * k_se
+    k_inv, info = dpotri(low, lower=1, overwrite_c=1)   # lower triangle only
+    if info != 0:
+        raise IllConditionedKernelError(
+            f"kernel matrix is singular (dpotri info {info})")
+    a_k = k_inv.ravel(order="F")[pairs.flat]
+    a_k -= np.outer(w, w).ravel()[pairs.flat]
+    a_k *= k
+    trace_a = float(np.sum(np.diag(k_inv)) - w @ w)
     grad = np.empty(theta.size)
     # dC/dlog l_i = C_se * 0.5 D_i / l_i, with D_i the i-th squared distances
-    grad[:m] = 0.25 * (sqdists.reshape(m, -1) @ a_k.ravel()) / ell
-    grad[m] = 0.5 * float(np.sum(a_k))
+    # (zero on the diagonal)
+    grad[:m] = 0.5 * (pairs.sqdists @ a_k) / ell
+    grad[m] = float(np.sum(a_k)) + 0.5 * sig2 * trace_a
     if free_jitter:
-        grad[m + 1] = 0.5 * jit2 * float(np.trace(a))
+        grad[m + 1] = 0.5 * jit2 * trace_a
     return value, grad
 
 
@@ -153,8 +195,7 @@ def nlml_gradient(hyper: Hyperparameters, inputs: np.ndarray,
     theta = hyper.as_array()
     zero_jitter = np.isneginf(hyper.log_jitter_var)
     _, grad = _nlml_value_grad(theta[:-1] if zero_jitter else theta,
-                               _pairwise_sqdists(inputs),
-                               np.asarray(targets, dtype=float))
+                               _pairs(inputs), np.asarray(targets, dtype=float))
     return np.append(grad, 0.0) if zero_jitter else grad
 
 
@@ -192,18 +233,17 @@ class GpModel:
 
 
 def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
-              sqdists: np.ndarray | None = None) -> GpModel:
+              pairs: Pairs | None = None) -> GpModel:
     """The GP conditioned on its training data under fixed hyperparameters.
 
     Depends only on (inputs, targets, hyper): a model rebuilt from stored
     hyperparameters predicts bitwise like the trained one.
     """
-    if sqdists is None:
-        sqdists = _pairwise_sqdists(inputs)
-    k, _ = _kernel_matrix(sqdists, hyper.sq_lengths, hyper.signal_var,
-                          hyper.jitter_var)
-    low = _cholesky(k)
-    w = cho_solve((low, True), targets)
+    if pairs is None:
+        pairs = _pairs(inputs)
+    k = _pair_covariances(pairs, hyper.sq_lengths, hyper.signal_var)
+    low = _cholesky(pairs, k, hyper.signal_var + hyper.jitter_var)
+    w = _solve(low, targets)
     return GpModel(inputs=inputs, targets=targets, hyper=hyper,
                    chol_lower=low, weights=w,
                    final_nlml=_nlml_from_parts(low, w, targets))
@@ -259,14 +299,21 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     if zero_jitter:   # the pinned jitter is not optimized
         inits = [theta[:-1] for theta in inits]
 
-    sqdists = _pairwise_sqdists(inputs)
+    pairs = _pairs(inputs)
     big = 1e25
+    last = {}   # the latest evaluation, keyed on theta's bytes
 
     def objective(theta):
-        try:
-            return _nlml_value_grad(theta, sqdists, targets)
-        except IllConditionedKernelError:
-            return big, np.zeros(theta.size)
+        # L-BFGS-B's first call repeats the start point ranked below
+        key = theta.tobytes()
+        if key not in last:
+            last.clear()
+            try:
+                last[key] = _nlml_value_grad(theta, pairs, targets)
+            except IllConditionedKernelError:
+                last[key] = big, np.zeros(theta.size)
+        value, grad = last[key]
+        return value, grad.copy()
 
     bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
 
@@ -291,7 +338,7 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     if zero_jitter:
         best_theta = np.append(best_theta, -np.inf)
     return posterior(inputs, targets, Hyperparameters.from_array(best_theta),
-                     sqdists)
+                     pairs)
 
 
 def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
@@ -300,22 +347,16 @@ def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
     if x.shape != (model.inputs.shape[1],):
         raise ValueError(
             f"expected input of shape ({model.inputs.shape[1]},), got {x.shape}")
-    c_star = cross_kernel(model.inputs, x, model.hyper)
-    mean = float(c_star @ model.weights)
-    v = cho_solve((model.chol_lower, True), c_star)
-    prior = model.hyper.signal_var + model.hyper.jitter_var
-    var = prior - float(c_star @ v)
-    return mean, max(var, 0.0)
+    means, variances = predict_batch(model, x[None, :])
+    return float(means[0]), float(variances[0])
 
 
 def predict_batch(model: GpModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized predictive means and variances for rows of ``xs``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    diff = xs[:, None, :] - model.inputs[None, :, :]
-    q = np.tensordot(diff * diff, 1.0 / model.hyper.sq_lengths, axes=(2, 0))
-    c_star = model.hyper.signal_var * np.exp(-0.5 * q)   # (n_pts, N)
+    c_star = cross_kernel(model.inputs, xs, model.hyper)   # (n_pts, N)
     means = c_star @ model.weights
-    v = cho_solve((model.chol_lower, True), c_star.T)
+    v = _solve(model.chol_lower, c_star.T)
     prior = model.hyper.signal_var + model.hyper.jitter_var
     variances = np.maximum(prior - np.sum(c_star.T * v, axis=0), 0.0)
     return means, variances

@@ -203,11 +203,15 @@ class DiffusionSimulator(Simulator):
                 "diffusion coefficients must be positive and finite", point=xi)
         # load: int of each basis function = h^2 (interior nodes)
         b = np.full(self._interior.size, self.h ** 2)
+        # coefficients near the float limits may overflow the band or the
+        # factor; either way the solve fails with a SimulatorError
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = np.tensordot(xi, self._band, axes=1)
+        if not np.all(np.isfinite(band)):
+            raise SimulatorError("stiffness band overflows", point=xi)
         try:
-            u_int = solveh_banded(np.tensordot(xi, self._band, axes=1), b,
-                                  lower=True)
-        except (np.linalg.LinAlgError, ValueError) as err:
-            # coefficients near the float limits under- or overflow the factor
+            u_int = solveh_banded(band, b, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as err:
             raise SimulatorError(f"banded Cholesky solve failed: {err}",
                                  point=xi) from err
         u = np.zeros(self.output_dim)

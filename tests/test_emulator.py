@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anovagp import emulator
+from anovagp import emulator, gp
 from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
 from anovagp.emulator import (assemble, load_emulator, predict_sgp_mean,
                               save_emulator, train_local, train_sgp,
@@ -458,6 +458,29 @@ class TestBatchedPrediction:
         ref, bound = reference_and_bound(sgp_em, xs)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= bound)
+
+    def test_mean_makes_no_solve(self, monkeypatch):
+        # the mean path is c* . w per mode; only variances need C^-1 c*
+        anova_em, sgp_em = trained_pair("polynomial-mix")
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def record(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, record)
+
+        for owner, name in ((gp, "_solve"), (gp, "dpotrs"),
+                            (gp, "predict_batch"), (emulator, "predict_batch")):
+            spy(owner, name)
+        xs = np.random.default_rng(0).uniform(0.0, 1.0, (5, 3))
+        anova_em.predict_mean(xs)
+        predict_sgp_mean(sgp_em, xs)
+        assert calls == []
+        emulator.variance_indicator(sgp_em, xs)
+        assert calls
 
     def test_single_point_is_one_row(self):
         anova_em, sgp_em = trained_pair("polynomial-mix")

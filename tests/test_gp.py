@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
+from anovagp import gp
 from anovagp.exceptions import TrainingFailedError
-from anovagp.gp import (GpModel, GpTrainConfig, Hyperparameters,
-                        _kernel_matrix, _pairwise_sqdists, cross_kernel, nlml,
-                        nlml_gradient, predict, predict_batch, train_gp)
+from anovagp.gp import (GpModel, GpTrainConfig, Hyperparameters, _pairs,
+                        _pair_covariances, _nlml_value_grad, cross_kernel,
+                        nlml, nlml_gradient, predict, predict_batch, train_gp)
 
 
 def make_hyper(sq_lengths, signal_var, jitter_var):
@@ -19,15 +21,31 @@ def make_hyper(sq_lengths, signal_var, jitter_var):
                            float(np.log(signal_var)), float(log_jit))
 
 
-class TestKernel:
-    """The training covariance (``_kernel_matrix``) and the covariances
-    against a fresh point (``cross_kernel``)."""
+def pair_matrix(X, h):
+    """The training covariance the package factorizes, as a full symmetric
+    matrix: pair covariances below and above the diagonal, rho1^2 + rho2^2
+    on it."""
+    pairs = _pairs(X)
+    n = len(X)
+    low = np.zeros(n * n)
+    low[pairs.flat] = _pair_covariances(pairs, h.sq_lengths, h.signal_var)
+    low = low.reshape(n, n, order="F")
+    k = low + low.T
+    np.fill_diagonal(k, h.signal_var + h.jitter_var)
+    return k
 
-    @staticmethod
-    def matrix(X, h):
-        k, _ = _kernel_matrix(_pairwise_sqdists(X), h.sq_lengths, h.signal_var,
-                              h.jitter_var)
-        return k
+
+def dense_sqdists(X):
+    """(M, N, N) stack of per-dimension squared distances."""
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    return diff * diff
+
+
+class TestKernel:
+    """The training covariance (pairs ``i > j`` plus the diagonal) and the
+    covariances against a fresh point (``cross_kernel``)."""
+
+    matrix = staticmethod(pair_matrix)
 
     def test_same_point(self):
         h = make_hyper([1.0, 2.0], 1.5, 0.25)
@@ -60,6 +78,24 @@ class TestKernel:
             assert (cross_kernel(x[None], y, h)[0]
                     == cross_kernel(y[None], x, h)[0])
 
+    def test_pairs_layout(self):
+        X = np.random.default_rng(1).standard_normal((5, 2))
+        pairs = _pairs(X)
+        assert pairs.sqdists.shape == (2, 10)
+        assert pairs.sqdists.flags.c_contiguous
+        rows, cols = pairs.flat % 5, pairs.flat // 5
+        assert np.all(rows > cols)
+        assert np.array_equal(pairs.sqdists, dense_sqdists(X)[:, rows, cols])
+
+    def test_rows_match_single_points(self):
+        h = make_hyper([0.5, 2.0], 1.2, 0.1)
+        rng = np.random.default_rng(2)
+        X, xs = rng.standard_normal((6, 2)), rng.standard_normal((4, 2))
+        rows = cross_kernel(X, xs, h)
+        assert rows.shape == (4, 6)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(cross_kernel(X, x, h), row)
+
     def test_dimension_mismatch(self):
         h = make_hyper([1.0, 1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -68,6 +104,8 @@ class TestKernel:
             cross_kernel(np.zeros((2, 3)), np.zeros(3), h)
         with pytest.raises(ValueError):
             cross_kernel(np.zeros((2, 2)), np.zeros(3), h)
+        with pytest.raises(ValueError):
+            cross_kernel(np.zeros((2, 2)), np.zeros((4, 3)), h)
 
 
 class TestNlml:
@@ -98,24 +136,33 @@ _U = np.finfo(float).eps / 2   # unit roundoff
 _FD_STEP = 1e-6
 
 
-@st.composite
-def gradient_cases(draw):
-    """(X, y, hyper) whose covariance has a condition number below ~2e3.
+_TINY = 2.0 ** -1074   # bound on the absolute error of a product that underflows
 
-    A free jitter of at least e^-4 bounds the smallest eigenvalue.  With zero
+
+def _gamma(k):
+    """Bound on the relative rounding error of k chained float operations."""
+    return k * _U / (1.0 - k * _U)
+
+
+@st.composite
+def gradient_cases(draw, max_m=3, max_n=12):
+    """(X, y, hyper) whose covariance has a condition number below ~6e3.
+
+    A free jitter of at least e^-4 bounds the smallest eigenvalue, so the
+    condition number is below 1 + N e^5 (about 1.8e3 for N = 12).  With zero
     jitter the rows are distinct lattice points and the squared lengths at
-    most 0.2, so for M <= 3 the off-diagonal row sums stay below 0.58 of the
-    diagonal and the condition number below 4.
+    most 0.2, so for M <= 4 the off-diagonal row sums stay below 0.84 of the
+    diagonal and the condition number below 12 (below 4 for M <= 3).
     """
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, max_m))
     if draw(st.booleans()):
         rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=2,
-                             max_size=min(12, 5 ** m), unique=True))
+                             max_size=min(max_n, 5 ** m), unique=True))
         X = np.array(rows, dtype=float)
         log_ell = draw(arrays(float, m, elements=st.floats(-4.0, np.log(0.2))))
         log_jit = -np.inf
     else:
-        n = draw(st.integers(2, 12))
+        n = draw(st.integers(2, max_n))
         X = draw(arrays(float, (n, m), elements=st.floats(0.0, 1.0)))
         log_ell = draw(arrays(float, m, elements=st.floats(-4.0, 1.5)))
         log_jit = draw(st.floats(-4.0, 0.0))
@@ -154,30 +201,119 @@ class TestGradient:
 
     @settings(max_examples=60, deadline=None)
     @given(case=gradient_cases())
+    @example(case=(np.array([[0.0], [4.0]]), np.full(2, 8.67532438e-66),
+                   Hyperparameters(np.array([-4.0]), 0.0, -np.inf)))
     def test_property_matches_per_dimension_loop(self, case):
-        """The length-scale gradient, one matvec over all dimensions, agrees
-        with the per-dimension sum 0.5 sum(A * dC/dlog l_i).
+        """The length-scale gradient, one matvec over the pairs, agrees with
+        the per-dimension sum 0.5 sum(A * dC/dlog l_i) over the full matrix.
 
-        Both sum the same N^2 products in another order, each product
-        carrying a few roundings, so entry i differs by at most
-        2 gamma_{N^2+4} * 0.25 sum |D_i A C_se| / l_i.
+        The reference forms A from the same covariance with the same LAPACK
+        calls (dpotrf, dpotrs, dpotri), so both sides hold the same products
+        and differ only in how they sum them.  Each side sums at most N^2
+        products, each carrying a few roundings, so entry i differs by at
+        most 2 gamma_{N^2+4} * 0.25 sum |D_i A C_se| / l_i.  Products may
+        underflow: in Higham's model fl(x op y) = (x op y)(1 + d) + e with
+        |e| <= 2^-1074 for a product, and an e made in one of the at most 5
+        multiplications and divisions of a term is scaled by the factors
+        applied after it.  Each of those is at most F_j = max(1, |A_j|, C_j,
+        D_ij, 1/l_i), so the two sides add at most 2 * 5 * 2^-1074 * sum F^4.
         """
         X, y, hyper = case
         grad = nlml_gradient(hyper, X, y)
-        sqdists = _pairwise_sqdists(X)
+        sqdists = dense_sqdists(X)
         ell = hyper.sq_lengths
-        k, k_se = _kernel_matrix(sqdists, ell, hyper.signal_var,
-                                 hyper.jitter_var)
-        low = cholesky(k, lower=True)   # A exactly as _nlml_value_grad forms it
-        w = cho_solve((low, True), y)
-        a = cho_solve((low, True), np.eye(len(y))) - np.outer(w, w)
+        k = pair_matrix(X, hyper)
+        k_se = k - hyper.jitter_var * np.eye(len(y))
+        np.fill_diagonal(k_se, hyper.signal_var)
+        # A exactly as _nlml_value_grad forms it, mirrored to the full matrix
+        low, _ = dpotrf(k, lower=1)
+        w, _ = dpotrs(low, y, lower=1)
+        k_inv, _ = dpotri(low, lower=1)
+        k_inv = np.tril(k_inv) + np.tril(k_inv, -1).T
+        a = k_inv - np.outer(w, w)
         n_ops = len(y) ** 2 + 4
-        gamma = n_ops * _U / (1 - n_ops * _U)
         for i in range(hyper.n_dims):
             loop = 0.5 * float(np.sum(a * (k_se * (0.5 * sqdists[i] / ell[i]))))
-            bound = 2 * gamma * 0.25 * float(
+            bound = 2 * _gamma(n_ops) * 0.25 * float(
                 np.sum(np.abs(sqdists[i] * a * k_se))) / ell[i]
-            assert abs(grad[i] - loop) <= bound
+            factors = np.maximum.reduce([np.ones_like(a), np.abs(a), k_se,
+                                         sqdists[i], np.full_like(a, 1 / ell[i])])
+            underflow = 2 * 5 * _TINY * float(np.sum(factors ** 4))
+            assert abs(grad[i] - loop) <= bound + underflow
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=gradient_cases(max_m=4, max_n=40))
+    def test_property_matches_dense_reference(self, case):
+        """The pair kernel agrees in value and gradient with a dense
+        reference: the full covariance from the (M, N, N) distance stack,
+        ``cholesky`` and ``cho_solve`` of the identity for C^-1.
+
+        The bound is fixed by float64 error analysis (Higham 2002, ch. 10).
+        Each side's covariance entries lie within gamma_{M+1} q / 2 + 5u of
+        the exact ones (q = sum D_i / l_i; exp and the signal variance add 5u),
+        so the two sides differ by eps_K = gamma_{M+1} q + 10u per entry, at
+        most eps_K ||C||_2 in norm for these nonnegative entries.  Each
+        Cholesky solve, and each column of either inverse, is exact for some
+        C + E with ||E||_2 <= N gamma_{3N+1} / (1 - N gamma_{N+1}) ||C||_2
+        (Thm 10.4 with ||L||L^T|| <= N ||C||).  With eta the sum of the two
+        and rho = kappa eta / (1 - kappa eta), each side's w lies within
+        rho ||w|| of the exact one, each inverse within sqrt(N) rho ||C^-1||
+        in the Frobenius norm, and 0.5 log det C within 0.5 N rho.  So:
+
+        * value: N rho + rho ||y|| ||w|| + 2 gamma_{N+2} sum |log L_ii|
+          + gamma_N |y|.|w| + 2 gamma_3 (|0.5 log det| + |0.5 y.w| + N);
+        * gradient i, 0.5 tr(A G_i) with A = C^-1 - w w^T:
+          0.5 ||dA||_F ||G_i||_F + (eps_K + 2 gamma_4 + 2 gamma_{N^2+4})
+          * 0.5 sum |A G_i| plus the underflow term 2 * 5 * 2^-1074 sum F^4
+          of ``test_property_matches_per_dimension_loop``, where
+          ||dA||_F <= 2 sqrt(N) rho ||C^-1|| + (4 rho + 4 rho^2) ||w||^2.
+        """
+        X, y, hyper = case
+        n, m = X.shape
+        zero_jitter = bool(np.isneginf(hyper.log_jitter_var))
+        theta = hyper.as_array()[:-1] if zero_jitter else hyper.as_array()
+        value, grad = _nlml_value_grad(theta, _pairs(X), y)
+
+        sqdists = dense_sqdists(X)
+        ell = hyper.sq_lengths
+        q = np.tensordot(1.0 / ell, sqdists, axes=(0, 0))
+        k_se = hyper.signal_var * np.exp(-0.5 * q)
+        k = k_se + hyper.jitter_var * np.eye(n)
+        low = cholesky(k, lower=True)
+        w = cho_solve((low, True), y)
+        k_inv = cho_solve((low, True), np.eye(n))
+        a = k_inv - np.outer(w, w)
+        half_logdet = float(np.sum(np.log(np.diag(low))))
+        ref_value = half_logdet + 0.5 * float(y @ w) + 0.5 * n * np.log(2 * np.pi)
+        d_c = [k_se * (0.5 * sqdists[i] / ell[i]) for i in range(m)] + [k_se]
+        if not zero_jitter:
+            d_c.append(hyper.jitter_var * np.eye(n))
+        ref_grad = np.array([0.5 * float(np.sum(a * g)) for g in d_c])
+
+        eps_k = _gamma(m + 1) * float(q.max()) + 10 * _U
+        eta = eps_k + n * _gamma(3 * n + 1) / (1 - n * _gamma(n + 1))
+        inv_norm = 1.0 / float(np.linalg.eigvalsh(k)[0])
+        kappa = np.linalg.norm(k, 2) * inv_norm
+        assert kappa * eta < 0.5
+        rho = kappa * eta / (1 - kappa * eta)
+        w_norm = float(np.linalg.norm(w))
+        value_bound = (n * rho + rho * float(np.linalg.norm(y)) * w_norm
+                       + 2 * _gamma(n + 2) * float(np.sum(np.abs(np.log(np.diag(low)))))
+                       + _gamma(n) * float(np.abs(y) @ np.abs(w))
+                       + 2 * _gamma(3) * (abs(half_logdet) + abs(0.5 * y @ w) + n))
+        assert abs(value - ref_value) <= value_bound
+
+        d_a = 2 * np.sqrt(n) * rho * inv_norm + (4 * rho + 4 * rho ** 2) * w_norm ** 2
+        for i, g in enumerate(d_c):
+            spread = 1 / ell[i] if i < m else 1.0
+            factors = np.maximum.reduce([np.ones_like(a), np.abs(a), k_se,
+                                         sqdists[i] if i < m else k_se,
+                                         np.full_like(a, spread)])
+            bound = (0.5 * d_a * np.linalg.norm(g)
+                     + (eps_k + 2 * _gamma(4) + 2 * _gamma(n * n + 4))
+                     * 0.5 * float(np.sum(np.abs(a * g)))
+                     + 2 * 5 * _TINY * float(np.sum(factors ** 4)))
+            assert abs(grad[i] - ref_grad[i]) <= bound
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -256,6 +392,23 @@ class TestTraining:
             h = Hyperparameters(log_ell, float(log_sig2),
                                 float(np.log(1e-10 * var)))
             assert model.final_nlml <= nlml(h, X, y) + 1e-9
+
+    @pytest.mark.parametrize("jitter_floor", [None, 0.0])
+    def test_each_start_evaluated_once(self, monkeypatch, jitter_floor):
+        # the value that ranks a start is the one L-BFGS-B starts from
+        seen = []
+        kernel = gp._nlml_value_grad
+
+        def spy(theta, *args):
+            seen.append(theta.tobytes())
+            return kernel(theta, *args)
+
+        monkeypatch.setattr(gp, "_nlml_value_grad", spy)
+        X = np.random.default_rng(3).uniform(0, 1, (10, 2))
+        train_gp(X, np.sin(3 * X[:, 0]) * X[:, 1],
+                 GpTrainConfig(restarts=3, jitter_floor=jitter_floor))
+        assert len(seen) > 3
+        assert all(a != b for a, b in zip(seen, seen[1:]))
 
     def test_warm_start_used(self):
         rng = np.random.default_rng(3)
@@ -341,11 +494,8 @@ class TestPredict:
         x = np.array([0.33, 0.77])
         m1, v1 = predict(model, x)
         # rebuild with identical hyperparameters on permuted data
-        from scipy.linalg import cho_solve, cholesky
-        k, _ = _kernel_matrix(_pairwise_sqdists(model.inputs[perm]),
-                              model.hyper.sq_lengths, model.hyper.signal_var,
-                              model.hyper.jitter_var)
-        low = cholesky(k, lower=True)
+        low = cholesky(pair_matrix(model.inputs[perm], model.hyper),
+                       lower=True)
         w = cho_solve((low, True), model.targets[perm])
         permuted = GpModel(inputs=model.inputs[perm],
                            targets=model.targets[perm], hyper=model.hyper,

@@ -184,6 +184,15 @@ class TestDiffusionValidation:
         with pytest.raises(SimulatorError, match="positive and finite"):
             sim.evaluate(xi)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficient(self):
+        # the band contraction overflows; no RuntimeWarning escapes first
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
+        xi = np.ones(9)
+        xi[4] = 1e308
+        with pytest.raises(SimulatorError, match="overflows"):
+            sim.evaluate(xi)
+
     def test_centroid_on_partition_line_rejected(self):
         # with 3 elements per side and 2 subdomains, the middle element's
         # centroid sits exactly on the partition line
