@@ -37,7 +37,6 @@ class SimCache:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._store: dict[bytes, np.ndarray] = {}
-        self.hits = 0
         self.misses = 0
 
     def evaluate(self, xi: np.ndarray) -> np.ndarray:
@@ -45,7 +44,6 @@ class SimCache:
         key = xi.tobytes()
         cached = self._store.get(key)
         if cached is not None:
-            self.hits += 1
             return cached
         out = np.asarray(self.sim.evaluate(xi), dtype=float)
         out.flags.writeable = False
@@ -176,7 +174,9 @@ def term_mean(t: AnovaIndex, sim: Simulator, c: np.ndarray, cache: SimCache,
     rules = [map_rule(base, tuple(sim.intervals[i - 1])) for i in t]
     grid = tensor_grid(t, rules)
     values = term_value(t, grid.points, sim, c, cache)
-    density = sim.density_product(t, grid.points)
+    # inputs are uniform on the box: the density is constant on the subcube
+    a, b = sim.intervals[[i - 1 for i in t]].T
+    density = np.full(grid.n_points, np.prod(1.0 / (b - a)))
     mean = weighted_mean(values, grid, density)
     return mean, TermDataset(index=t, grid=grid, values=values)
 
@@ -219,20 +219,19 @@ def _admissible_candidates(selected: list[AnovaIndex], m: int) -> list[AnovaInde
     return sorted(out)
 
 
-def adaptive_decompose(sim: Simulator, c: np.ndarray | None = None,
-                       tol_index: float = 1e-4, nodes_per_dim: int = 5,
-                       max_order: int = 4, denominator: str = "running",
-                       cache: SimCache | None = None) -> DecompositionResult:
+def adaptive_decompose(sim: Simulator, tol_index: float = 1e-4,
+                       nodes_per_dim: int = 5, max_order: int = 4,
+                       denominator: str = "running") -> DecompositionResult:
     """Adaptive anchored ANOVA decomposition.
 
-    Starts from the constant term at the anchor point, scores every
-    admissible candidate index in alphabetical order and keeps those whose
-    contribution weight exceeds ``tol_index`` (strictly).  With
+    Starts from the constant term at the simulator's anchor point, scores
+    every admissible candidate index in alphabetical order and keeps those
+    whose contribution weight exceeds ``tol_index`` (strictly).  With
     ``denominator="running"`` the reference mean is updated immediately each
     time an index is accepted; ``"previous_orders"`` freezes it per order.
     Stops when no admissible candidate remains or ``max_order`` is reached.
     Returns the selection, the quadrature datasets of the selected nonempty
-    terms and the simulator cache used for all evaluations.
+    terms and the fresh simulator cache used for all evaluations.
     """
     if tol_index <= 0.0:
         raise ValueError("tol_index must be positive")
@@ -241,8 +240,8 @@ def adaptive_decompose(sim: Simulator, c: np.ndarray | None = None,
     if denominator not in ("running", "previous_orders"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     m = sim.input_dim
-    c = sim.anchor_point() if c is None else np.asarray(c, dtype=float)
-    cache = SimCache(sim) if cache is None else cache
+    c = sim.anchor_point()
+    cache = SimCache(sim)
 
     anchor_output = np.array(cache.evaluate(c))
     selection = IndexSelection(orders={0: [()]})

@@ -255,9 +255,10 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
 
     Initialization is scale-aware: log squared lengths are drawn uniformly in
     [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension i,
-    and the signal variance starts around the target variance.  The returned
-    model achieves the lowest NLML among all restarts (never worse than any
-    restart's initial point).
+    and the signal variance starts around the target variance.  Every start,
+    a warm start included, is clipped into the bounds and evaluated by
+    L-BFGS-B.  The returned model achieves the lowest NLML among all starts
+    (never worse than any start clipped into the bounds).
     """
     config = config or GpTrainConfig()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -301,30 +302,19 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
 
     pairs = _pairs(inputs)
     big = 1e25
-    last = {}   # the latest evaluation, keyed on theta's bytes
 
     def objective(theta):
-        # L-BFGS-B's first call repeats the start point ranked below
-        key = theta.tobytes()
-        if key not in last:
-            last.clear()
-            try:
-                last[key] = _nlml_value_grad(theta, pairs, targets)
-            except IllConditionedKernelError:
-                last[key] = big, np.zeros(theta.size)
-        value, grad = last[key]
-        return value, grad.copy()
+        try:
+            return _nlml_value_grad(theta, pairs, targets)
+        except IllConditionedKernelError:
+            return big, np.zeros(theta.size)
 
     bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
 
+    # L-BFGS-B clips each start into the bounds before its first evaluation
     best_value = np.inf
     best_theta = None
     for theta0 in inits:
-        value0, _ = objective(theta0)
-        if value0 < best_value:
-            best_value, best_theta = value0, theta0
-        if value0 >= big:
-            continue
         result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                           bounds=bounds,
                           options={"maxiter": config.max_iter})

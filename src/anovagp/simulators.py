@@ -1,8 +1,8 @@
 """Simulator abstraction, the Q1 FEM diffusion simulator, and analytic test simulators.
 
 A simulator is a pure deterministic map from an m-dimensional input vector to
-a d-dimensional output, together with its input box, per-coordinate input
-densities and an output norm.  The diffusion simulator solves
+a d-dimensional output, together with its input box (inputs are uniform on
+it) and an output norm.  The diffusion simulator solves
 -div(a grad u) = 1 with homogeneous Dirichlet conditions on (-1,1)^2, where
 the coefficient a is piecewise constant over a k x k subdomain partition and
 each subdomain value is one input coordinate.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from .exceptions import ConfigError, SimulatorError
@@ -24,8 +23,7 @@ class Simulator:
 
     Subclasses set ``input_dim``, ``output_dim`` and ``intervals`` (an
     (m, 2) array of per-coordinate input intervals) and implement
-    ``evaluate``.  Inputs are uniformly distributed on the box by default;
-    override ``marginal_density`` for other product densities.
+    ``evaluate``.  Inputs are uniformly distributed on the box.
     """
 
     input_dim: int
@@ -38,19 +36,6 @@ class Simulator:
     def output_norm(self, y: np.ndarray) -> float:
         """Norm used to score ANOVA contribution weights (Euclidean default)."""
         return float(np.linalg.norm(y))
-
-    def marginal_density(self, coord: int, x) -> np.ndarray:
-        """Density of the (1-based) input coordinate evaluated at x."""
-        a, b = self.intervals[coord - 1]
-        return np.full_like(np.asarray(x, dtype=float), 1.0 / (b - a))
-
-    def density_product(self, coords: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-        """Joint density of the coordinates in ``coords`` at each row of points."""
-        points = np.atleast_2d(points)
-        dens = np.ones(points.shape[0])
-        for k, i in enumerate(coords):
-            dens *= self.marginal_density(i, points[:, k])
-        return dens
 
     def anchor_point(self) -> np.ndarray:
         """Default anchor: the mean of the input distribution."""
@@ -123,55 +108,30 @@ class DiffusionSimulator(Simulator):
         self.intervals = np.tile([lo, hi], (self.input_dim, 1))
         self.h = 2.0 / elements_per_side
 
-        self._build_topology()
-        self._mass = self._assemble_mass()
-
-    def _build_topology(self):
-        n = self.elements_per_side
-        nn = self.n_nodes_side
-
-        ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ex = ex.ravel()
-        ey = ey.ravel()
         # global node id = iy * nn + ix; local ordering counter-clockwise
+        n = elements_per_side
+        ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        ex, ey = ex.ravel(), ey.ravel()
         n00 = ey * nn + ex
         self._elem_nodes = np.stack(
             [n00, n00 + 1, n00 + nn + 1, n00 + nn], axis=1)
 
         # subdomain of each element by centroid; reject configurations where a
         # centroid sits exactly on a subdomain boundary
-        cx = -1.0 + (ex + 0.5) * self.h
-        cy = -1.0 + (ey + 0.5) * self.h
-        fx = (cx + 1.0) / 2.0 * self.k_side
-        fy = (cy + 1.0) / 2.0 * self.k_side
+        fx = (ex + 0.5) / n * k_side
+        fy = (ey + 0.5) / n * k_side
         if (np.min(np.abs(fx - np.round(fx))) < 1e-9
                 or np.min(np.abs(fy - np.round(fy))) < 1e-9):
             raise ConfigError(
                 "element centroids fall on subdomain boundaries for "
-                f"elements_per_side={n}, k_side={self.k_side}; "
+                f"elements_per_side={n}, k_side={k_side}; "
                 "choose a grid whose centroids avoid the partition lines")
-        sx = np.floor(fx).astype(int)
-        sy = np.floor(fy).astype(int)
-        self._elem_subdomain = sy * self.k_side + sx
+        self._elem_subdomain = (np.floor(fy).astype(int) * k_side
+                                + np.floor(fx).astype(int))
 
         ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
         boundary = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
         self._interior = np.flatnonzero(~boundary.T.ravel())
-        # map global node -> interior unknown (-1 on the boundary)
-        self._node_to_unknown = -np.ones(self.output_dim, dtype=int)
-        self._node_to_unknown[self._interior] = np.arange(self._interior.size)
-
-        rows = np.repeat(self._elem_nodes, 4, axis=1)
-        cols = np.tile(self._elem_nodes, (1, 4))
-        self._asm_rows = rows.ravel()
-        self._asm_cols = cols.ravel()
-
-    def _assemble_mass(self) -> sp.csr_matrix:
-        n_elem = self._elem_nodes.shape[0]
-        data = np.tile((self.h ** 2 * _M_REF).ravel(), n_elem)
-        m = sp.coo_matrix((data, (self._asm_rows, self._asm_cols)),
-                          shape=(self.output_dim, self.output_dim))
-        return m.tocsr()
 
     @cached_property
     def _band(self) -> np.ndarray:
@@ -181,8 +141,12 @@ class DiffusionSimulator(Simulator):
         Row r of a slab holds the r-th subdiagonal, entry (i, j) at
         ``[i - j, j]`` as ``solveh_banded(lower=True)`` reads it.
         """
-        rows = self._node_to_unknown[self._asm_rows]
-        cols = self._node_to_unknown[self._asm_cols]
+        # interior unknown of each global node (-1 on the boundary), taken
+        # at every (row, col) pair of every element matrix
+        unknown = np.full(self.output_dim, -1)
+        unknown[self._interior] = np.arange(self._interior.size)
+        rows = unknown[np.repeat(self._elem_nodes, 4, axis=1)].ravel()
+        cols = unknown[np.tile(self._elem_nodes, (1, 4))].ravel()
         keep = (rows >= cols) & (cols >= 0)
         n_band = self.elements_per_side + 1
         shape = (self.input_dim, n_band, self._interior.size)
@@ -214,16 +178,22 @@ class DiffusionSimulator(Simulator):
         except np.linalg.LinAlgError as err:
             raise SimulatorError(f"banded Cholesky solve failed: {err}",
                                  point=xi) from err
+        # a subnormal coefficient leaves the band finite, not its factor
+        if not np.all(np.isfinite(u_int)):
+            raise SimulatorError("solution is not finite", point=xi)
         u = np.zeros(self.output_dim)
         u[self._interior] = u_int
         return u
 
     def output_norm(self, y: np.ndarray) -> float:
-        """Functional L2 norm of the Q1 interpolant, sqrt(y^T M y)."""
+        """Functional L2 norm of the Q1 interpolant, sqrt(y^T M y), summed
+        element by element as h^2 sum_e y_e^T M_ref y_e."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.output_dim,):
             raise ValueError(f"expected output of shape ({self.output_dim},)")
-        return float(np.sqrt(max(y @ (self._mass @ y), 0.0)))
+        y_e = y[self._elem_nodes]
+        return float(np.sqrt(max(self.h ** 2 * np.sum((y_e @ _M_REF) * y_e),
+                                 0.0)))
 
     def node_coordinates(self) -> np.ndarray:
         """(d, 2) array of node coordinates, matching the output ordering."""

@@ -395,7 +395,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("jitter_floor", [None, 0.0])
     def test_each_start_evaluated_once(self, monkeypatch, jitter_floor):
-        # the value that ranks a start is the one L-BFGS-B starts from
+        # each start goes to L-BFGS-B once, whose first call evaluates it;
+        # no separate pass evaluates it again
         seen = []
         kernel = gp._nlml_value_grad
 
@@ -418,6 +419,18 @@ class TestTraining:
         warm = train_gp(X, y, GpTrainConfig(restarts=1, seed=99,
                                             warm_start=base.hyper))
         assert warm.final_nlml <= base.final_nlml + 1e-8
+
+    def test_warm_start_below_floor_is_clipped(self):
+        # a warm start from a refit whose floor was lower is clipped onto
+        # this fit's floor, never returned with its own jitter
+        X = np.linspace(0, 1, 10)[:, None]
+        y = np.sin(3 * X[:, 0])
+        log_floor = np.log(1e-10 * np.var(y))
+        base = train_gp(X, y, GpTrainConfig(restarts=3, seed=0))
+        stale = Hyperparameters(base.hyper.log_sq_lengths,
+                                base.hyper.log_signal_var, log_floor - 5.0)
+        model = train_gp(X, y, GpTrainConfig(restarts=1, warm_start=stale))
+        assert model.hyper.log_jitter_var >= log_floor
 
     def test_warm_start_zero_jitter(self):
         # the pinned zero jitter drops the warm start's jitter entry

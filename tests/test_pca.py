@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anovagp.pca import fit_pca, project, reconstruct
+
+EPS = np.finfo(float).eps / 2   # unit roundoff
 
 
 def brute_force_cov_eig(dataset):
@@ -141,3 +146,32 @@ class TestProjectReconstruct:
         vals, _ = brute_force_cov_eig(data)
         discarded = vals[model.rank:].sum()
         assert np.isclose(np.mean(errs), discarded, rtol=1e-8)
+
+    @pytest.mark.parametrize("tol_pca", [0.05, 1e-6])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 14), d=st.integers(2, 14))
+    def test_property_discarded_variance_identity(self, tol_pca, data, n, d):
+        """The mean squared distance of the centered samples to the span of
+        the retained components equals the sum of the discarded eigenvalues
+        of the sample covariance, on both the covariance (d <= N) and the
+        Gram (d > N) path.
+
+        With T the total variance, forming C (or the Gram matrix) and a
+        backward-stable symmetric eigensolver move each eigenvalue by at
+        most p u ||C||_2 <= p u T with p <= N + d, and at most N + d
+        eigenvalues enter either side.  The residuals c - V V^T c lose at
+        most (d + R + 2) u relative to |c| per entry, R <= min(N, d).  The
+        bound 16 (N + d)^2 u T covers both sides with room to spare.
+        """
+        scales = data.draw(arrays(float, d, elements=st.floats(1e-3, 1e3)))
+        raw = data.draw(arrays(float, (n, d), elements=st.floats(-10, 10)))
+        dataset = raw * scales
+        model, _ = fit_pca(dataset, tol_pca)
+        centered = dataset - model.mean
+        alphas = np.array([project(model, y) for y in dataset])
+        residual = centered - alphas @ model.components.T
+        discarded_by_projection = np.mean(np.sum(residual ** 2, axis=1))
+        vals, _ = brute_force_cov_eig(dataset)
+        total = np.mean(np.sum(centered ** 2, axis=1))
+        bound = 16 * (n + d) ** 2 * EPS * total
+        assert abs(discarded_by_projection - vals[model.rank:].sum()) <= bound

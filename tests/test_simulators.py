@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from anovagp.cli import main
 from anovagp.exceptions import ConfigError, SimulatorError
-from anovagp.simulators import (_K_REF, AdditiveSimulator, DiffusionSimulator,
-                                RankOneProductSimulator, analytic_bank)
+from anovagp.simulators import (_K_REF, _M_REF, AdditiveSimulator,
+                                DiffusionSimulator, RankOneProductSimulator,
+                                analytic_bank)
 
 
 def poisson_center_value():
@@ -32,12 +33,30 @@ def poisson_center_value():
 EPS = np.finfo(float).eps / 2   # unit roundoff
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * EPS / (1 - k * EPS)
+
+
+def assemble(sim, element_matrices):
+    """The global (d, d) matrix summed from one 4 x 4 matrix per element."""
+    nodes = sim._elem_nodes
+    rows = np.repeat(nodes, 4, axis=1).ravel()
+    cols = np.tile(nodes, (1, 4)).ravel()
+    return sp.coo_matrix((element_matrices.reshape(-1), (rows, cols)),
+                         shape=(sim.output_dim, sim.output_dim)).tocsr()
+
+
 def stiffness(sim, xi):
     """The full Q1 stiffness matrix, assembled from element matrices."""
     coeff = xi[sim._elem_subdomain]
-    data = (coeff[:, None, None] * _K_REF[None]).reshape(-1)
-    return sp.coo_matrix((data, (sim._asm_rows, sim._asm_cols)),
-                         shape=(sim.output_dim, sim.output_dim)).tocsr()
+    return assemble(sim, coeff[:, None, None] * _K_REF[None])
+
+
+def mass_matrix(sim):
+    """The full Q1 mass matrix, assembled from element matrices."""
+    n_elem = sim._elem_nodes.shape[0]
+    return assemble(sim, np.broadcast_to(sim.h ** 2 * _M_REF, (n_elem, 4, 4)))
 
 
 def sparse_lu_reference(sim, xi):
@@ -162,6 +181,36 @@ class TestMassNorm:
         with pytest.raises(ValueError):
             sim.output_norm(np.ones(3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 16), data=st.data())
+    def test_property_matches_sparse_mass_matrix(self, n, data):
+        """The element-by-element norm squared agrees with y^T M y for the
+        assembled sparse mass matrix M.
+
+        Both sides sum the same products y_i (h^2 M_ref)_kl y_j, so each
+        side's error is at most gamma_k times the same form taken on |y|
+        (any summation order of k terms, Higham Lemma 3.1 and Sec. 4.2).
+        Per term the norm makes at most k = 4 n_elem + 8 roundings: a 4-term
+        row of y_e M_ref, the product with y_e, the sum over all element
+        entries, the factor h^2, the square root and the squaring here.
+        The sparse form makes at most d + 20: the factor h^2, up to 4
+        duplicates summed per entry, a 16-term row of M y and the d-term
+        dot with y.  Entries of y are zero or between 1e-100 and 1e100 in
+        magnitude, so no product underflows or overflows.
+        """
+        sim = DiffusionSimulator(elements_per_side=n, k_side=1)
+        magnitude = st.floats(1e-100, 1e100)
+        entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+        y = np.array(data.draw(st.lists(entry, min_size=sim.output_dim,
+                                        max_size=sim.output_dim)))
+        reference = y @ (mass_matrix(sim) @ y)
+        n_elem = sim._elem_nodes.shape[0]
+        gamma_norm = _gamma(4 * n_elem + 8)
+        gamma_sparse = _gamma(sim.output_dim + 20)
+        on_abs = sim.output_norm(np.abs(y)) ** 2 / (1.0 - gamma_norm)
+        bound = (gamma_norm + gamma_sparse) * on_abs
+        assert abs(sim.output_norm(y) ** 2 - reference) <= bound
+
 
 class TestDiffusionValidation:
     def test_bad_input_shape(self):
@@ -192,6 +241,24 @@ class TestDiffusionValidation:
         xi[4] = 1e308
         with pytest.raises(SimulatorError, match="overflows"):
             sim.evaluate(xi)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_coefficient(self, value):
+        # the band stays finite but its factor does not, and no RuntimeWarning
+        # escapes first
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
+        xi = np.ones(9)
+        xi[4] = value
+        with pytest.raises(SimulatorError, match="not finite"):
+            sim.evaluate(xi)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_normal_coefficient_is_finite(self):
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
+        xi = np.ones(9)
+        xi[4] = 2.3e-308
+        assert np.all(np.isfinite(sim.evaluate(xi)))
 
     def test_centroid_on_partition_line_rejected(self):
         # with 3 elements per side and 2 subdomains, the middle element's
@@ -246,13 +313,6 @@ class TestAnalyticBank:
     def test_polynomial_mix_requires_two_inputs(self):
         with pytest.raises(ConfigError):
             analytic_bank("polynomial-mix", 1, 3)
-
-    def test_uniform_density_normalized(self):
-        sim = analytic_bank("additive", 3, 4)
-        x = np.linspace(0, 1, 7)
-        assert np.allclose(sim.marginal_density(1, x), 1.0)
-        grid = np.random.default_rng(4).uniform(0, 1, (6, 2))
-        assert np.allclose(sim.density_product((1, 3), grid), 1.0)
 
     def test_uniform_sample_in_box(self):
         sim = DiffusionSimulator(elements_per_side=8, k_side=2)
