@@ -114,17 +114,19 @@ class IndexSelection:
 
 
 def embed(xi_t: np.ndarray, t: AnovaIndex, c: np.ndarray) -> np.ndarray:
-    """Embed a point of the subcube of t into the full input space.
+    """Embed one point (k,) or rows (n, k) of the subcube of t into the full
+    input space, giving (m,) or (n, m).
 
-    Coordinate i of the result is the matching entry of ``xi_t`` when i is in
-    t and the anchor coordinate c_i otherwise.
+    Coordinate i of each result is the matching entry of ``xi_t`` when i is
+    in t and the anchor coordinate c_i otherwise.
     """
     xi_t = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    if xi_t.shape != (len(t),):
+    if xi_t.ndim > 2 or xi_t.shape[-1] != len(t):
         raise ValueError(f"xi_t has shape {xi_t.shape}, index has {len(t)} coords")
-    out = np.array(c, dtype=float)
+    out = np.empty(xi_t.shape[:-1] + (len(c),))
+    out[...] = c
     for k, i in enumerate(t):
-        out[i - 1] = xi_t[k]
+        out[..., i - 1] = xi_t[..., k]
     return out
 
 
@@ -140,22 +142,21 @@ def term_value(t: AnovaIndex, xi_t: np.ndarray, sim: Simulator,
     t = tuple(t)
     xi_t = np.asarray(xi_t, dtype=float)
     rows = np.atleast_2d(xi_t)
-    if xi_t.ndim > 2 or rows.shape[1] != len(t):
+    if xi_t.ndim > 2 or rows.shape[1] != len(t) or rows.shape[0] == 0:
         raise ValueError(f"xi_t has shape {xi_t.shape}, index has "
                          f"{len(t)} coords")
     total = 0.0
     for k in range(len(t) + 1):
         sign = (-1.0) ** (len(t) - k)
         for cols in combinations(range(len(t)), k):
-            sub = tuple(t[j] for j in cols)
-            points = rows[:, list(cols)]
+            points = embed(rows[:, list(cols)], tuple(t[j] for j in cols), c)
             # distinct points by their bytes, as SimCache tells them apart
+            keys = [p.tobytes() for p in points]
             outputs: dict[bytes, np.ndarray] = {}
-            for p in points:
-                if p.tobytes() not in outputs:
-                    outputs[p.tobytes()] = cache.evaluate(embed(p, sub, c))
-            total = total + sign * np.stack([outputs[p.tobytes()]
-                                             for p in points])
+            for key, p in zip(keys, points):
+                if key not in outputs:
+                    outputs[key] = cache.evaluate(p)
+            total = total + sign * np.array([outputs[key] for key in keys])
     return total if xi_t.ndim == 2 else total[0]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .exceptions import ConfigError, SimulatorError
 
@@ -139,7 +139,7 @@ class DiffusionSimulator(Simulator):
         with a unit coefficient on one subdomain, one slab per subdomain.
 
         Row r of a slab holds the r-th subdiagonal, entry (i, j) at
-        ``[i - j, j]`` as ``solveh_banded(lower=True)`` reads it.
+        ``[i - j, j]`` as LAPACK's lower band storage holds it.
         """
         # interior unknown of each global node (-1 on the boundary), taken
         # at every (row, col) pair of every element matrix
@@ -169,15 +169,19 @@ class DiffusionSimulator(Simulator):
         b = np.full(self._interior.size, self.h ** 2)
         # coefficients near the float limits may overflow the band or the
         # factor; either way the solve fails with a SimulatorError
+        slabs = self._band
         with np.errstate(over="ignore", invalid="ignore"):
-            band = np.tensordot(xi, self._band, axes=1)
+            # the one dot np.tensordot(xi, slabs, axes=1) makes inside
+            band = np.dot(xi[None, :], slabs.reshape(self.input_dim, -1))
+        band = band.reshape(slabs.shape[1:])
         if not np.all(np.isfinite(band)):
             raise SimulatorError("stiffness band overflows", point=xi)
-        try:
-            u_int = solveh_banded(band, b, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as err:
-            raise SimulatorError(f"banded Cholesky solve failed: {err}",
-                                 point=xi) from err
+        # the LAPACK routine behind scipy's banded solver, called without
+        # that solver's Python wrapper
+        _, u_int, info = dpbsv(band, b, lower=1, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise SimulatorError("banded Cholesky solve failed: dpbsv "
+                                 f"returned info={info}", point=xi)
         # a subnormal coefficient leaves the band finite, not its factor
         if not np.all(np.isfinite(u_int)):
             raise SimulatorError("solution is not finite", point=xi)

@@ -82,6 +82,30 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(np.array([1.0]), (1, 2), np.zeros(3))
 
+    def test_rows_length_mismatch(self):
+        with pytest.raises(ValueError):
+            embed(np.ones((3, 1)), (1, 2), np.zeros(3))
+
+    def test_rows_substitution(self):
+        c = np.array([0.5, 0.25, 0.75])
+        rows = np.array([[7.0, 9.0], [1.0, 2.0], [7.0, 9.0]])
+        out = embed(rows, (1, 3), c)
+        assert np.array_equal(out, [[7.0, 0.25, 9.0], [1.0, 0.25, 2.0],
+                                    [7.0, 0.25, 9.0]])
+
+    def test_rows_match_single_points(self):
+        c = np.array([0.1, 0.2, 0.3, 0.4])
+        rows = np.random.default_rng(4).uniform(0, 1, (5, 2))
+        out = embed(rows, (2, 4), c)
+        assert out.shape == (5, 4)
+        for row, point in zip(rows, out):
+            assert point.tobytes() == embed(row, (2, 4), c).tobytes()
+
+    def test_empty_index_rows_give_anchor(self):
+        c = np.array([0.3, 0.7, 0.1])
+        out = embed(np.zeros((2, 0)), (), c)
+        assert np.array_equal(out, np.tile(c, (2, 1)))
+
 
 class TestTermValue:
     def test_empty_term_is_anchor_output(self):
@@ -163,6 +187,12 @@ class TestTermValue:
         assert batched.shape == (len(rows), 5)
         for row, value in zip(rows, batched):
             assert np.array_equal(value, term_value(t, row, sim, c, cache))
+
+    def test_no_rows_rejected(self):
+        sim = analytic_bank("additive", 3, 4)
+        with pytest.raises(ValueError):
+            term_value((1, 3), np.zeros((0, 2)), sim, sim.anchor_point(),
+                       SimCache(sim))
 
     def test_cache_coherence(self):
         sim = analytic_bank("additive", 3, 4)

@@ -1,6 +1,7 @@
 """Tests for the diffusion FEM simulator and the analytic simulator bank."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from anovagp.cli import main
 from anovagp.exceptions import ConfigError, SimulatorError
@@ -66,6 +68,14 @@ def sparse_lu_reference(sim, xi):
     u = np.zeros(sim.output_dim)
     u[interior] = spla.spsolve(a_ii.tocsc(), np.full(interior.size, sim.h ** 2))
     return u
+
+
+def banded_reference(sim, xi):
+    """The interior solution by the band contraction and the scipy banded
+    solver that ``evaluate`` calls the LAPACK routine of directly."""
+    band = np.tensordot(xi, sim._band, axes=1)
+    return solveh_banded(band, np.full(sim._interior.size, sim.h ** 2),
+                         lower=True)
 
 
 def center_value(sim, u):
@@ -152,6 +162,39 @@ class TestDiffusionOracle:
         gamma = 3 * (w + 1) * EPS / (1 - 3 * (w + 1) * EPS)
         bound = 2 * np.linalg.cond(a_ii) * (w + 1) * gamma
         assert np.linalg.norm(u - ref) <= bound * np.linalg.norm(ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 16), k_side=st.integers(1, 3),
+           wide=st.booleans(), data=st.data())
+    def test_property_matches_banded_reference(self, n, k_side, wide, data):
+        """The solve is bit for bit the tensordot contraction followed by
+        ``solveh_banded``, over coefficients in the config interval and
+        over a log-uniform range from 1e-100 to 1e100.
+
+        At a high contrast (one coefficient 1e23, the rest 1, on a 4 x 4
+        mesh) the factorization breaks down in floating point; then the
+        reference's failing leading minor is the ``info`` that ``evaluate``
+        reports.
+        """
+        try:
+            sim = DiffusionSimulator(elements_per_side=n, k_side=k_side)
+        except ConfigError:
+            assume(False)   # centroids on partition lines
+        coeff = (st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e) if wide
+                 else st.floats(0.01, 1.0))
+        xi = np.array(data.draw(st.lists(coeff, min_size=sim.input_dim,
+                                         max_size=sim.input_dim)))
+        try:
+            reference = banded_reference(sim, xi)
+        except np.linalg.LinAlgError as err:
+            minor = re.match(r"\d+", str(err)).group()
+            with pytest.raises(SimulatorError, match=rf"info={minor}\b"):
+                sim.evaluate(xi)
+            return
+        u = sim.evaluate(xi)
+        assert u[sim._interior].tobytes() == reference.tobytes()
+        boundary = np.setdiff1d(np.arange(sim.output_dim), sim._interior)
+        assert u[boundary].tobytes() == np.zeros(boundary.size).tobytes()
 
     def test_deterministic_and_pure(self):
         sim = DiffusionSimulator(elements_per_side=8, k_side=3)
@@ -259,6 +302,14 @@ class TestDiffusionValidation:
         xi = np.ones(9)
         xi[4] = 2.3e-308
         assert np.all(np.isfinite(sim.evaluate(xi)))
+
+    def test_cholesky_failure_names_info(self):
+        # a negated band is negative definite, so the factorization stops
+        # at the first column
+        sim = DiffusionSimulator(elements_per_side=8, k_side=3)
+        sim.__dict__["_band"] = -sim._band
+        with pytest.raises(SimulatorError, match=r"info=1\b"):
+            sim.evaluate(np.ones(9))
 
     def test_centroid_on_partition_line_rejected(self):
         # with 3 elements per side and 2 subdomains, the middle element's
