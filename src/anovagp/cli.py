@@ -48,13 +48,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _apply_seed_override(load_config(args.config), args)
-    out = args.out or "."
-    run_experiment(config, out_dir=out)
-    return 0
-
-
-def cmd_benchmark(args) -> int:
+    """Train, score and write the artifacts, then print each method's
+    median relative error.  ``benchmark`` is another name for it."""
     config = _apply_seed_override(load_config(args.config), args)
     out = args.out or "."
     report = run_experiment(config, out_dir=out)
@@ -153,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("decompose", cmd_decompose, "--config", "--seed", "--out")
     add("train", cmd_train, "--config", "--seed", "--out")
-    add("benchmark", cmd_benchmark, "--config", "--seed", "--out")
+    add("benchmark", cmd_train, "--config", "--seed", "--out")
     add("predict", cmd_predict, "--config", "--emulator", "--out")
     add("inspect", cmd_inspect, "--emulator", "--format")
     return parser

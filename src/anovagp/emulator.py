@@ -41,7 +41,12 @@ def _as_rows(x, width: int) -> tuple[np.ndarray, bool]:
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise ConfigError(f"expected a point of shape ({width},) or rows of "
                           f"shape (n, {width}), got shape {x.shape}")
-    return np.atleast_2d(x), x.ndim == 1
+    rows = np.atleast_2d(x)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ConfigError("prediction points must be finite; row "
+                          f"{int(np.argmin(finite))} is not")
+    return rows, x.ndim == 1
 
 
 @dataclass

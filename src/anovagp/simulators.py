@@ -108,30 +108,29 @@ class DiffusionSimulator(Simulator):
         self.intervals = np.tile([lo, hi], (self.input_dim, 1))
         self.h = 2.0 / elements_per_side
 
-        # global node id = iy * nn + ix; local ordering counter-clockwise
+        # Element e = ex * n + ey has lower-left node ey * nn + ex (global
+        # node id = iy * nn + ix); its local ordering is counter-clockwise.
+        # Every table is an outer sum of per-side ranges.
         n = elements_per_side
-        ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ex, ey = ex.ravel(), ey.ravel()
-        n00 = ey * nn + ex
-        self._elem_nodes = np.stack(
-            [n00, n00 + 1, n00 + nn + 1, n00 + nn], axis=1)
+        side = np.arange(n)
+        n00 = (side[:, None] + nn * side).ravel()
+        self._elem_nodes = n00[:, None] + [0, 1, nn + 1, nn]
 
-        # subdomain of each element by centroid; reject configurations where a
-        # centroid sits exactly on a subdomain boundary
-        fx = (ex + 0.5) / n * k_side
-        fy = (ey + 0.5) / n * k_side
-        if (np.min(np.abs(fx - np.round(fx))) < 1e-9
-                or np.min(np.abs(fy - np.round(fy))) < 1e-9):
+        # subdomain of each element by centroid; x and y share the per-side
+        # centroid fractions, so rejecting a centroid on a subdomain boundary
+        # needs only those n values
+        frac = (side + 0.5) / n * k_side
+        if np.min(np.abs(frac - np.round(frac))) < 1e-9:
             raise ConfigError(
                 "element centroids fall on subdomain boundaries for "
                 f"elements_per_side={n}, k_side={k_side}; "
                 "choose a grid whose centroids avoid the partition lines")
-        self._elem_subdomain = (np.floor(fy).astype(int) * k_side
-                                + np.floor(fx).astype(int))
+        part = np.floor(frac).astype(int)
+        self._elem_subdomain = (part[:, None] + k_side * part).ravel()
 
-        ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
-        boundary = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
-        self._interior = np.flatnonzero(~boundary.T.ravel())
+        # interior node ids in ascending order
+        inner = np.arange(1, n)
+        self._interior = (nn * inner[:, None] + inner).ravel()
 
     @cached_property
     def _band(self) -> np.ndarray:

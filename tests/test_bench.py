@@ -272,6 +272,17 @@ class TestCli:
         assert "anova_gp" in printed and "sgp" in printed
         assert (out / "errors.csv").exists()
 
+    def test_train_and_benchmark_print_the_medians(self, tmp_path,
+                                                   config_path, capsys):
+        printed = []
+        for name in ("train", "benchmark"):
+            assert main([name, "--config", config_path,
+                         "--out", str(tmp_path / name)]) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        assert printed[0] == printed[1]
+        assert [line.split(":")[0] for line in printed[0]] == ["anova_gp",
+                                                               "sgp"]
+
     def test_decompose_stdout(self, config_path, capsys):
         assert main(["decompose", "--config", config_path]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -407,6 +418,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "config"
+
+    @pytest.mark.parametrize("archive", ["anova_gp.npz", "sgp.npz"])
+    @pytest.mark.parametrize("csv_file", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_predict_non_finite_points(self, tmp_path, report, capsys,
+                                       archive, csv_file, value):
+        """A non-finite point exits 2 before any row is written; JSON reads
+        1e400 as inf, a CSV reads nan and inf as themselves."""
+        _, out = report
+        points = tmp_path / "points.json"
+        if csv_file:
+            table = tmp_path / "points.csv"
+            table.write_text(f"0.5,0.5\n0.5,{value}\n")
+            points.write_text(json.dumps({"points_csv": str(table)}))
+        else:
+            text = {"nan": "NaN", "inf": "1e400"}[value]
+            points.write_text(f'{{"points": [[0.5, 0.5], [{text}, 0.5]]}}')
+        capsys.readouterr()
+        assert main(["predict", "--config", str(points),
+                     "--emulator", str(out / archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "finite; row 1 " in err["message"]
 
     @pytest.mark.parametrize("patch", [{"schema_version": 1}, {"kind": "x"}])
     def test_bad_archive_exit_code(self, tmp_path, report, capsys, patch):

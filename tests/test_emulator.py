@@ -490,3 +490,12 @@ class TestBatchedPrediction:
         for bad in (np.zeros(4), np.zeros(2), np.zeros((5, 2))):
             with pytest.raises(ConfigError):
                 anova_em.predict_mean(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, value):
+        anova_em, sgp_em = trained_pair("polynomial-mix")
+        rows = np.array([[0.3, 0.8, 0.1], [0.5, value, 0.5]])
+        for emu in (anova_em, sgp_em):
+            for bad, row in ((rows, 1), (rows[1], 0)):
+                with pytest.raises(ConfigError, match=rf"finite; row {row} "):
+                    emu.predict_mean(bad)

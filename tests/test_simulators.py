@@ -78,6 +78,36 @@ def banded_reference(sim, xi):
                          lower=True)
 
 
+def meshgrid_tables(n, k_side):
+    """The element nodes, element subdomains and interior nodes of an n x n
+    mesh on k_side x k_side subdomains, built from 2-D meshgrids over every
+    element and node, with the centroid check on every element."""
+    nn = n + 1
+    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ex, ey = ex.ravel(), ey.ravel()
+    n00 = ey * nn + ex
+    elem_nodes = np.stack([n00, n00 + 1, n00 + nn + 1, n00 + nn], axis=1)
+    fx = (ex + 0.5) / n * k_side
+    fy = (ey + 0.5) / n * k_side
+    if (np.min(np.abs(fx - np.round(fx))) < 1e-9
+            or np.min(np.abs(fy - np.round(fy))) < 1e-9):
+        raise ConfigError(
+            "element centroids fall on subdomain boundaries for "
+            f"elements_per_side={n}, k_side={k_side}; "
+            "choose a grid whose centroids avoid the partition lines")
+    elem_subdomain = (np.floor(fy).astype(int) * k_side
+                      + np.floor(fx).astype(int))
+    ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
+    boundary = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
+    interior = np.flatnonzero(~boundary.T.ravel())
+    return elem_nodes, elem_subdomain, interior
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def center_value(sim, u):
     coords = sim.node_coordinates()
     idx = int(np.argmin(np.abs(coords).sum(axis=1)))
@@ -200,6 +230,31 @@ class TestDiffusionOracle:
         sim = DiffusionSimulator(elements_per_side=8, k_side=3)
         xi = np.full(9, 0.3)
         assert np.array_equal(sim.evaluate(xi), sim.evaluate(xi))
+
+
+class TestTopology:
+    @pytest.mark.parametrize("k_side", range(1, 7))
+    def test_tables_match_meshgrid_reference(self, k_side):
+        """The index tables, the band built from them and every rejected
+        grid match the meshgrid construction for 2 to 64 elements a side."""
+        for n in range(2, 65):
+            try:
+                expected = meshgrid_tables(n, k_side)
+            except ConfigError as err:
+                with pytest.raises(ConfigError) as raised:
+                    DiffusionSimulator(elements_per_side=n, k_side=k_side)
+                assert str(raised.value) == str(err)
+                continue
+            sim = DiffusionSimulator(elements_per_side=n, k_side=k_side)
+            tables = (sim._elem_nodes, sim._elem_subdomain, sim._interior)
+            for got, want in zip(tables, expected):
+                assert_same_array(got, want)
+            reference = DiffusionSimulator.__new__(DiffusionSimulator)
+            reference.__dict__.update(
+                sim.__dict__, _elem_nodes=expected[0],
+                _elem_subdomain=expected[1], _interior=expected[2])
+            reference.__dict__.pop("_band", None)
+            assert_same_array(sim._band, reference._band)
 
 
 class TestMassNorm:
