@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,8 @@ def cmd_train(args) -> int:
 
 
 def _load_points(config_path: str) -> np.ndarray:
+    """The prediction points of a config; a relative ``points_csv`` is read
+    from the config's own directory."""
     with open(config_path) as fh:
         text = fh.read()
     if config_path.endswith(".json"):
@@ -70,11 +73,21 @@ def _load_points(config_path: str) -> np.ndarray:
         raise ConfigError("prediction config needs 'points' or 'points_csv'")
     try:
         if "points" in data:
-            return np.atleast_2d(np.asarray(data["points"], dtype=float))
-        return np.loadtxt(data["points_csv"], delimiter=",", ndmin=2)
-    except ValueError as err:
+            source = "'points'"
+            points = np.atleast_2d(np.asarray(data["points"], dtype=float))
+        else:
+            source = Path(config_path).parent / data["points_csv"]
+            with warnings.catch_warnings():
+                # an empty file is reported below, not as a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                points = np.loadtxt(source, delimiter=",", ndmin=2)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"prediction points are not a table of numbers: "
                           f"{err}") from None
+    if points.size == 0:
+        raise ConfigError(f"prediction points table {source} is empty")
+    return points
 
 
 def cmd_predict(args) -> int:

@@ -91,28 +91,33 @@ def variance_indicator(block: PcaGp, xs: np.ndarray) -> np.ndarray:
     return lam @ variances / lam.sum()
 
 
-def _train_modes(inputs, targets, base_config: GpTrainConfig,
-                 previous: list[GpModel] | None, refit: int,
-                 term: AnovaIndex | str) -> list[GpModel]:
-    """Train one GP per PCA mode, warm-starting from the previous refit.
+def _fit_block(coords: AnovaIndex, inputs: np.ndarray, values: np.ndarray,
+               gp_config: GpTrainConfig, tol_pca: float,
+               previous_block: PcaGp | None, refit: int,
+               term: AnovaIndex | str) -> PcaGp:
+    """Fit PCA to the values, then one GP per retained mode over the inputs.
 
-    A failed fit is raised again naming the term ("sgp" for the S-GP), the
-    mode and the stage.
+    Mode r warm-starts from mode r of the previous refit's block, when that
+    block has one.  A failed fit is raised again naming the term ("sgp" for
+    the S-GP), the mode and the stage.
     """
-    models = []
+    pca_model, targets = fit_pca(values, tol_pca)
+    previous = previous_block.mode_gps if previous_block is not None else []
+    mode_gps = []
     for r in range(targets.shape[0]):
-        cfg = replace(base_config, seed=base_config.seed + 977 * refit + r)
-        if previous is not None and r < len(previous):
+        cfg = replace(gp_config, seed=gp_config.seed + 977 * refit + r)
+        if r < len(previous):
             cfg = replace(cfg, warm_start=previous[r].hyper, restarts=1)
         try:
-            models.append(train_gp(inputs, targets[r], cfg))
+            mode_gps.append(train_gp(inputs, targets[r], cfg))
         except TrainingFailedError as err:
             stage = ("train_sgp" if term == "sgp"
                      else f"train_local refit {refit}")
             raise TrainingFailedError(
                 str(err), term=term, mode=r,
                 stage=f"{stage} (N={len(inputs)})") from err
-    return models
+    return PcaGp(coords=coords, pca=pca_model, mode_gps=mode_gps,
+                 train_inputs=inputs, train_values=values)
 
 
 def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
@@ -139,15 +144,12 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     rng = np.random.default_rng(seed)
     pool = sim.uniform_sample(rng, pool_size, coords=t)
 
-    previous_gps: list[GpModel] | None = None
+    block = None
     refit = 0
     while True:
-        pca_model, targets = fit_pca(values, tol_pca)
-        mode_gps = _train_modes(inputs, targets, gp_config, previous_gps,
-                                refit, t)
-        block = PcaGp(coords=t, pca=pca_model, mode_gps=mode_gps,
-                      train_inputs=inputs, train_values=values)
-        if pca_model.rank == 0 or inputs.shape[0] >= n_train:
+        block = _fit_block(t, inputs, values, gp_config, tol_pca, block,
+                           refit, t)
+        if block.rank == 0 or inputs.shape[0] >= n_train:
             return block
         pick = int(np.argmax(variance_indicator(block, pool)))
         xi_star = pool[pick]
@@ -155,7 +157,6 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
         inputs = np.vstack([inputs, xi_star])
         values = np.vstack([values, y_star])
         pool = np.delete(pool, pick, axis=0)
-        previous_gps = mode_gps
         refit += 1
 
 
@@ -206,10 +207,8 @@ def train_sgp(sim: Simulator, n: int, tol_pca: float = 1e-2, seed: int = 0,
     inputs = sim.uniform_sample(rng, n)
     evaluate = cache.evaluate if cache is not None else sim.evaluate
     outputs = np.stack([np.asarray(evaluate(x), dtype=float) for x in inputs])
-    pca_model, targets = fit_pca(outputs, tol_pca)
-    mode_gps = _train_modes(inputs, targets, gp_config, None, 0, "sgp")
-    return PcaGp(coords=tuple(range(1, sim.input_dim + 1)), pca=pca_model,
-                 mode_gps=mode_gps, train_inputs=inputs, train_values=outputs)
+    return _fit_block(tuple(range(1, sim.input_dim + 1)), inputs, outputs,
+                      gp_config, tol_pca, None, 0, "sgp")
 
 
 def predict_sgp_mean(emulator: PcaGp, xi: np.ndarray) -> np.ndarray:

@@ -88,22 +88,19 @@ def _pairs(X: np.ndarray) -> Pairs:
     return Pairs(diff, cols * n + rows, n)
 
 
-def _pair_covariances(pairs: Pairs, sq_lengths: np.ndarray,
-                      signal_var: float) -> np.ndarray:
-    """Jitter-free covariances rho1^2 exp(-0.5 sum_i D_i / l_i) of the pairs."""
-    # out-of-range hyperparameters may overflow here; _cholesky checks the
-    # result for finiteness before factorizing
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return signal_var * np.exp((-0.5 / sq_lengths) @ pairs.sqdists)
+def _condition(pairs: Pairs, sq_lengths: np.ndarray, signal_var: float,
+               jitter_var: float, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(k, low, w, nlml) of the GP conditioned on its targets.
 
-
-def _cholesky(pairs: Pairs, k: np.ndarray, diag: float) -> np.ndarray:
-    """Lower Cholesky factor of the training covariance with off-diagonal
-    pair covariances ``k`` and diagonal ``diag``.
-
-    The factor is Fortran-ordered with zeros above the diagonal; LAPACK
-    reads and writes only the lower triangle.
+    k holds the jitter-free pair covariances rho1^2 exp(-0.5 sum_i D_i / l_i),
+    low the lower Cholesky factor of C (k below the diagonal, rho1^2 + rho2^2
+    on it; Fortran-ordered, zeros above), and w = C^{-1} y.  Callers silence
+    floating-point warnings: out-of-range hyperparameters may overflow k,
+    and a non-finite covariance raises before it is factorized.
     """
+    k = signal_var * np.exp((-0.5 / sq_lengths) @ pairs.sqdists)
+    diag = signal_var + jitter_var
     if not (np.isfinite(diag) and np.all(np.isfinite(k))):
         raise IllConditionedKernelError("kernel matrix has non-finite entries")
     n = pairs.n
@@ -115,13 +112,10 @@ def _cholesky(pairs: Pairs, k: np.ndarray, diag: float) -> np.ndarray:
     if info != 0:
         raise IllConditionedKernelError(
             f"kernel matrix is not positive definite (dpotrf info {info})")
-    return low
-
-
-def _solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C^{-1} b from the lower Cholesky factor of C."""
-    x, _ = dpotrs(low, b, lower=1)
-    return x
+    w, _ = dpotrs(low, targets, lower=1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+    value = 0.5 * logdet + 0.5 * float(targets @ w) + 0.5 * n * _LOG_2PI
+    return k, low, w, value
 
 
 def cross_kernel(X: np.ndarray, x: np.ndarray, hyper: Hyperparameters) -> np.ndarray:
@@ -130,13 +124,6 @@ def cross_kernel(X: np.ndarray, x: np.ndarray, hyper: Hyperparameters) -> np.nda
     diff = X - x[..., None, :]
     q = (diff * diff) @ (1.0 / hyper.sq_lengths)
     return hyper.signal_var * np.exp(-0.5 * q)
-
-
-def _nlml_from_parts(chol_lower: np.ndarray, weights: np.ndarray,
-                     targets: np.ndarray) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
-    n = targets.size
-    return 0.5 * logdet + 0.5 * float(targets @ weights) + 0.5 * n * _LOG_2PI
 
 
 def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -157,15 +144,11 @@ def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
     """
     m = pairs.sqdists.shape[0]
     free_jitter = theta.size == m + 2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ell = np.exp(theta[:m])
         sig2 = float(np.exp(theta[m]))
         jit2 = float(np.exp(theta[m + 1])) if free_jitter else 0.0
-
-    k = _pair_covariances(pairs, ell, sig2)
-    low = _cholesky(pairs, k, sig2 + jit2)
-    w = _solve(low, targets)
-    value = _nlml_from_parts(low, w, targets)
+        k, low, w, value = _condition(pairs, ell, sig2, jit2, targets)
 
     k_inv, info = dpotri(low, lower=1, overwrite_c=1)   # lower triangle only
     if info != 0:
@@ -241,12 +224,12 @@ def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
     """
     if pairs is None:
         pairs = _pairs(inputs)
-    k = _pair_covariances(pairs, hyper.sq_lengths, hyper.signal_var)
-    low = _cholesky(pairs, k, hyper.signal_var + hyper.jitter_var)
-    w = _solve(low, targets)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, low, w, value = _condition(pairs, hyper.sq_lengths,
+                                      hyper.signal_var, hyper.jitter_var,
+                                      targets)
     return GpModel(inputs=inputs, targets=targets, hyper=hyper,
-                   chol_lower=low, weights=w,
-                   final_nlml=_nlml_from_parts(low, w, targets))
+                   chol_lower=low, weights=w, final_nlml=value)
 
 
 def train_gp(inputs: np.ndarray, targets: np.ndarray,
@@ -346,7 +329,7 @@ def predict_batch(model: GpModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     c_star = cross_kernel(model.inputs, xs, model.hyper)   # (n_pts, N)
     means = c_star @ model.weights
-    v = _solve(model.chol_lower, c_star.T)
+    v, _ = dpotrs(model.chol_lower, c_star.T, lower=1)
     prior = model.hyper.signal_var + model.hyper.jitter_var
     variances = np.maximum(prior - np.sum(c_star.T * v, axis=0), 0.0)
     return means, variances

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,75 @@ class TestCli:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "config" and "finite; row 1 " in err["message"]
+
+    @pytest.mark.parametrize("payload", [{"points": [[None, 0.5]]},
+                                         {"points": {"x": 0.5}},
+                                         {"points_csv": 5}])
+    def test_predict_points_of_wrong_type(self, tmp_path, report, capsys,
+                                          payload):
+        """Points that are not numbers, or a points_csv that is not a path,
+        exit 2 with one JSON error line."""
+        _, out = report
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(points),
+                     "--emulator", str(out / "sgp.npz")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config"
+
+    @pytest.mark.parametrize("archive", ["anova_gp.npz", "sgp.npz"])
+    def test_predict_relative_points_csv(self, tmp_path, report, capsys,
+                                         monkeypatch, archive):
+        """A relative points_csv is read beside its config, whatever the
+        working directory; an absolute one is read as it stands."""
+        _, out = report
+        rows = [[0.5, 0.5], [0.2, 0.7]]
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "points.csv").write_text("0.5,0.5\n0.2,0.7\n")
+        (sub / "cfg.json").write_text(json.dumps({"points_csv": "points.csv"}))
+        (sub / "abs.json").write_text(
+            json.dumps({"points_csv": str(sub / "points.csv")}))
+        (sub / "inline.json").write_text(json.dumps({"points": rows}))
+        # a table of another width in the working directory must not be read
+        (tmp_path / "points.csv").write_text("0.5\n")
+        monkeypatch.chdir(tmp_path)
+        emulator_path = str(out / archive)
+        printed = []
+        for config in ("inline.json", "cfg.json", "abs.json"):
+            capsys.readouterr()
+            assert main(["predict", "--config", f"sub/{config}",
+                         "--emulator", emulator_path]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0].count("\n") == 2
+        assert printed[1] == printed[0] and printed[2] == printed[0]
+
+    @pytest.mark.parametrize("csv_file", [False, True])
+    def test_predict_empty_points(self, tmp_path, report, capsys, csv_file):
+        """An empty table exits 2 with one JSON error line that says so, and
+        writes nothing; an empty file is named and raises no warning."""
+        _, out = report
+        points = tmp_path / "points.json"
+        table = tmp_path / "points.csv"
+        if csv_file:
+            table.write_text("")
+            points.write_text(json.dumps({"points_csv": "points.csv"}))
+        else:
+            points.write_text(json.dumps({"points": []}))
+        dest = tmp_path / "pred"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", "--config", str(points), "--emulator",
+                         str(out / "sgp.npz"), "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not dest.exists()
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and "is empty" in err["message"]
+        if csv_file:
+            assert str(table) in err["message"]
 
     @pytest.mark.parametrize("patch", [{"schema_version": 1}, {"kind": "x"}])
     def test_bad_archive_exit_code(self, tmp_path, report, capsys, patch):

@@ -25,3 +25,30 @@ def test_tracer_installs_and_restores():
     assert (gp.predict, emulator.predict_batch, bench.predict_sgp_mean,
             cli.predict_sgp_mean, emulator.AnovaGpEmulator.predict_mean,
             emulator.term_value) == originals
+
+
+def test_traced_run_reaches_every_counted_layer():
+    """A traced run still reaches the names the tracer wraps: one
+    ``term_value`` per active step, every simulator solve through a cache,
+    and at least one PCA fit and one small GP fit.  A refactor that keeps a
+    wrapped name imported but stops calling it fails here."""
+    from test_acceptance import CHEAP_CONFIG
+
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        report = bench.run_experiment(
+            bench.ExperimentConfig.from_dict(dict(CHEAP_CONFIG)))
+    config = report.config
+    # a term of rank zero returns before its first step; the others add
+    # points to their quadrature grid (nodes_per_dim per input) up to n_train
+    expected_steps = sum(
+        max(config["n_train"] - config["nodes_per_dim"] ** len(term["index"]), 0)
+        for term in report.term_modes if term["rank"] > 0)
+    assert expected_steps > 0
+    assert tracer.counts["active_steps"] == expected_steps
+    calls = report.simulator_calls
+    misses = tracer.counts["cache_lookups"] - tracer.counts["cache_hits"]
+    assert misses == (calls["decomposition"] + calls["active_training"]
+                      + calls["sgp_training"])
+    assert tracer.calls["pca.fit_pca"] > 0
+    assert tracer.calls["gp.train_gp.small"] > 0
