@@ -51,9 +51,6 @@ class SimCache:
         self.misses += 1
         return out
 
-    def __len__(self) -> int:
-        return len(self._store)
-
 
 @dataclass(frozen=True)
 class TermDataset:
@@ -130,14 +127,14 @@ def embed(xi_t: np.ndarray, t: AnovaIndex, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def term_value(t: AnovaIndex, xi_t: np.ndarray, sim: Simulator,
-               c: np.ndarray, cache: SimCache) -> np.ndarray:
+def term_value(t: AnovaIndex, xi_t: np.ndarray, c: np.ndarray,
+               cache: SimCache) -> np.ndarray:
     """Anchored ANOVA term u_t at one point (k,) or at rows (n, k).
 
     By inclusion-exclusion, u_t(x) = sum over s subset of t of
-    (-1)^(|t|-|s|) u(embed_s(x)).  Each distinct embedded point goes
-    through ``cache`` once per call, so a term of order k touches at most
-    2^k distinct points per row.  Returns (d,) for a point, (n, d) for rows.
+    (-1)^(|t|-|s|) u(embed_s(x)).  Every embedded point goes through
+    ``cache``, which solves each distinct point once.  Returns (d,) for a
+    point, (n, d) for rows.
     """
     t = tuple(t)
     xi_t = np.asarray(xi_t, dtype=float)
@@ -150,13 +147,7 @@ def term_value(t: AnovaIndex, xi_t: np.ndarray, sim: Simulator,
         sign = (-1.0) ** (len(t) - k)
         for cols in combinations(range(len(t)), k):
             points = embed(rows[:, list(cols)], tuple(t[j] for j in cols), c)
-            # distinct points by their bytes, as SimCache tells them apart
-            keys = [p.tobytes() for p in points]
-            outputs: dict[bytes, np.ndarray] = {}
-            for key, p in zip(keys, points):
-                if key not in outputs:
-                    outputs[key] = cache.evaluate(p)
-            total = total + sign * np.array([outputs[key] for key in keys])
+            total = total + sign * np.array([cache.evaluate(p) for p in points])
     return total if xi_t.ndim == 2 else total[0]
 
 
@@ -174,7 +165,7 @@ def term_mean(t: AnovaIndex, sim: Simulator, c: np.ndarray, cache: SimCache,
     base = cc_rule(nodes_per_dim)
     rules = [map_rule(base, tuple(sim.intervals[i - 1])) for i in t]
     grid = tensor_grid(t, rules)
-    values = term_value(t, grid.points, sim, c, cache)
+    values = term_value(t, grid.points, c, cache)
     # inputs are uniform on the box: the density is constant on the subcube
     a, b = sim.intervals[[i - 1 for i in t]].T
     density = np.full(grid.n_points, np.prod(1.0 / (b - a)))

@@ -153,7 +153,7 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
             return block
         pick = int(np.argmax(variance_indicator(block, pool)))
         xi_star = pool[pick]
-        y_star = term_value(t, xi_star, sim, c, cache)
+        y_star = term_value(t, xi_star, c, cache)
         inputs = np.vstack([inputs, xi_star])
         values = np.vstack([values, y_star])
         pool = np.delete(pool, pick, axis=0)

@@ -10,7 +10,7 @@ class DegenerateReferenceError(AnovaGpError):
 
 
 class IllConditionedKernelError(AnovaGpError):
-    """Raised when a kernel matrix is not positive definite (Cholesky failure)."""
+    """Raised when a kernel matrix cannot be factorized or gives no finite NLML."""
 
 
 class TrainingFailedError(AnovaGpError):

@@ -13,6 +13,7 @@ direct LAPACK calls that read only the lower triangle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,7 +141,7 @@ def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
     log rho2^2 for a free one.  Gradient of 0.5 log det C + 0.5 y^T C^{-1} y
     is 0.5 tr(A dC/dtheta) with A = C^{-1} - w w^T and w = C^{-1} y; as A
     and dC/dtheta are symmetric, the trace is a sum over the pairs i > j
-    plus the diagonal.
+    plus the diagonal.  A non-finite value or gradient raises instead.
     """
     m = pairs.sqdists.shape[0]
     free_jitter = theta.size == m + 2
@@ -149,22 +150,24 @@ def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
         sig2 = float(np.exp(theta[m]))
         jit2 = float(np.exp(theta[m + 1])) if free_jitter else 0.0
         k, low, w, value = _condition(pairs, ell, sig2, jit2, targets)
-
-    k_inv, info = dpotri(low, lower=1, overwrite_c=1)   # lower triangle only
-    if info != 0:
-        raise IllConditionedKernelError(
-            f"kernel matrix is singular (dpotri info {info})")
-    a_k = k_inv.ravel(order="F")[pairs.flat]
-    a_k -= np.outer(w, w).ravel()[pairs.flat]
-    a_k *= k
-    trace_a = float(np.sum(np.diag(k_inv)) - w @ w)
-    grad = np.empty(theta.size)
-    # dC/dlog l_i = C_se * 0.5 D_i / l_i, with D_i the i-th squared distances
-    # (zero on the diagonal)
-    grad[:m] = 0.5 * (pairs.sqdists @ a_k) / ell
-    grad[m] = float(np.sum(a_k)) + 0.5 * sig2 * trace_a
-    if free_jitter:
-        grad[m + 1] = 0.5 * jit2 * trace_a
+        # C^{-1}, lower triangle only
+        k_inv, info = dpotri(low, lower=1, overwrite_c=1)
+        if info != 0:
+            raise IllConditionedKernelError(
+                f"kernel matrix is singular (dpotri info {info})")
+        a_k = k_inv.ravel(order="F")[pairs.flat]
+        a_k -= np.outer(w, w).ravel()[pairs.flat]
+        a_k *= k
+        trace_a = float(np.sum(np.diag(k_inv)) - w @ w)
+        grad = np.empty(theta.size)
+        # dC/dlog l_i = C_se * 0.5 D_i / l_i, with D_i the i-th squared
+        # distances (zero on the diagonal)
+        grad[:m] = 0.5 * (pairs.sqdists @ a_k) / ell
+        grad[m] = float(np.sum(a_k)) + 0.5 * sig2 * trace_a
+        if free_jitter:
+            grad[m + 1] = 0.5 * jit2 * trace_a
+    if not (math.isfinite(value) and all(map(math.isfinite, grad.tolist()))):
+        raise IllConditionedKernelError("NLML or its gradient is not finite")
     return value, grad
 
 
@@ -240,8 +243,10 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension i,
     and the signal variance starts around the target variance.  Every start,
     a warm start included, is clipped into the bounds and evaluated by
-    L-BFGS-B.  The returned model achieves the lowest NLML among all starts
-    (never worse than any start clipped into the bounds).
+    L-BFGS-B.  An evaluation that raises ``IllConditionedKernelError`` reads
+    1e25, and a start that ends at one fails.  The returned model achieves
+    the lowest NLML among the other starts (never worse than any clipped
+    start whose NLML is below 1e25).
     """
     config = config or GpTrainConfig()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -266,7 +271,8 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     log_floor = np.log(floor) if floor > 0 else -np.inf
 
     spans = inputs.max(axis=0) - inputs.min(axis=0)
-    spans = np.where(spans > 0, spans, 1.0)
+    # log(a s^2) below needs s^2 to be a normal float; other spans act as 1
+    spans = np.where(spans ** 2 >= np.finfo(float).tiny, spans, 1.0)
     sig_scale = target_var if target_var > 0 else 1.0
 
     rng = np.random.default_rng(config.seed)
@@ -284,30 +290,28 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
         inits = [theta[:-1] for theta in inits]
 
     pairs = _pairs(inputs)
-    big = 1e25
+    failed: dict[bytes, str] = {}   # why the objective failed, per theta
 
     def objective(theta):
         try:
             return _nlml_value_grad(theta, pairs, targets)
-        except IllConditionedKernelError:
-            return big, np.zeros(theta.size)
+        except IllConditionedKernelError as err:
+            failed[theta.tobytes()] = str(err)
+            return 1e25, np.zeros(theta.size)
 
     bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
 
     # L-BFGS-B clips each start into the bounds before its first evaluation
-    best_value = np.inf
-    best_theta = None
-    for theta0 in inits:
-        result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                          bounds=bounds,
-                          options={"maxiter": config.max_iter})
-        if result.fun < best_value:
-            best_value, best_theta = float(result.fun), np.asarray(result.x)
-
-    if best_theta is None or best_value >= big:
+    results = [minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                        bounds=bounds, options={"maxiter": config.max_iter})
+               for theta0 in inits]
+    fits = [r for r in results if r.x.tobytes() not in failed]
+    if not fits:
+        reasons = dict.fromkeys(failed[r.x.tobytes()] for r in results)
         raise TrainingFailedError(
-            f"all {len(inits)} restarts failed (N={n}, M={m}, "
-            f"jitter_floor={floor}); the kernel matrix is singular")
+            f"all {len(inits)} restarts failed (N={n}, M={m}, jitter_floor="
+            f"{floor}): " + "; ".join(reasons))
+    best_theta = min(fits, key=lambda r: r.fun).x
     if zero_jitter:
         best_theta = np.append(best_theta, -np.inf)
     return posterior(inputs, targets, Hyperparameters.from_array(best_theta),

@@ -112,7 +112,7 @@ class TestTermValue:
         sim = analytic_bank("additive", 3, 4)
         c = sim.anchor_point()
         cache = SimCache(sim)
-        assert np.allclose(term_value((), np.zeros(0), sim, c, cache),
+        assert np.allclose(term_value((), np.zeros(0), c, cache),
                            sim.evaluate(c))
 
     def test_first_order_formula(self):
@@ -120,7 +120,7 @@ class TestTermValue:
         c = sim.anchor_point()
         cache = SimCache(sim)
         xi = np.array([0.8])
-        got = term_value((2,), xi, sim, c, cache)
+        got = term_value((2,), xi, c, cache)
         expected = sim.evaluate(embed(xi, (2,), c)) - sim.evaluate(c)
         assert np.allclose(got, expected, atol=1e-14)
 
@@ -132,7 +132,7 @@ class TestTermValue:
         for t in combinations(range(1, 5), 2):
             for _ in range(3):
                 xi = rng.uniform(0, 1, 2)
-                assert np.max(np.abs(term_value(t, xi, sim, c, cache))) < 1e-12
+                assert np.max(np.abs(term_value(t, xi, c, cache))) < 1e-12
 
     @pytest.mark.parametrize("name", ["additive", "rank-one-product",
                                       "polynomial-mix"])
@@ -157,7 +157,7 @@ class TestTermValue:
         scale = np.zeros(6)
         for t in all_subsets(range(1, m + 1)):
             x_t = xi[[i - 1 for i in t]]
-            total += term_value(t, x_t, sim, c, cache)
+            total += term_value(t, x_t, c, cache)
             scale += 2 ** (m - len(t)) * np.abs(sim.evaluate(embed(x_t, t, c)))
         n_ops = 2 ** (m + 1)
         gamma = n_ops * EPS / (1 - n_ops * EPS)
@@ -183,15 +183,15 @@ class TestTermValue:
         sim = analytic_bank(name, m, 5)
         c = sim.anchor_point()
         cache = SimCache(sim)
-        batched = term_value(t, rows, sim, c, cache)
+        batched = term_value(t, rows, c, cache)
         assert batched.shape == (len(rows), 5)
         for row, value in zip(rows, batched):
-            assert np.array_equal(value, term_value(t, row, sim, c, cache))
+            assert np.array_equal(value, term_value(t, row, c, cache))
 
     def test_no_rows_rejected(self):
         sim = analytic_bank("additive", 3, 4)
         with pytest.raises(ValueError):
-            term_value((1, 3), np.zeros((0, 2)), sim, sim.anchor_point(),
+            term_value((1, 3), np.zeros((0, 2)), sim.anchor_point(),
                        SimCache(sim))
 
     def test_cache_coherence(self):
@@ -199,10 +199,10 @@ class TestTermValue:
         cache = SimCache(sim)
         c = sim.anchor_point()
         xi = np.array([0.2, 0.9])
-        term_value((1, 3), xi, sim, c, cache)
+        term_value((1, 3), xi, c, cache)
         # order-2 term touches exactly 4 distinct embedded points
         assert cache.misses == 4
-        term_value((1, 3), xi, sim, c, cache)
+        term_value((1, 3), xi, c, cache)
         assert cache.misses == 4
 
 
@@ -228,7 +228,7 @@ class TestTermMean:
         c = np.zeros(2)
         mean, _ = term_mean((1, 2), sim, c, cache)
         assert abs(mean[0]) < 1e-14
-        val = term_value((1, 2), np.array([1.0, 1.0]), sim, c, cache)
+        val = term_value((1, 2), np.array([1.0, 1.0]), c, cache)
         assert abs(val[0] - 1.0) < 1e-12
 
     def test_empty_index_rejected(self):
@@ -303,9 +303,18 @@ class TestAdaptiveDecompose:
         assert r1.selection.weights == r2.selection.weights
 
     def test_cache_counts_distinct_points(self):
+        """Every miss is one solve, and no input is solved twice."""
         sim = analytic_bank("additive", 3, 4)
+        solved = []
+        evaluate = sim.evaluate
+
+        def recording(xi):
+            solved.append(np.asarray(xi, dtype=float).tobytes())
+            return evaluate(xi)
+
+        sim.evaluate = recording
         result = adaptive_decompose(sim, tol_index=1e-8)
-        assert result.cache.misses == len(result.cache)
+        assert result.cache.misses == len(solved) == len(set(solved))
 
     def test_denominator_modes_differ_only_within_order(self):
         sim = analytic_bank("polynomial-mix", 3, 5)
@@ -342,7 +351,7 @@ class TestAdaptiveDecompose:
         for t, rows in calls:
             for row in np.atleast_2d(rows):
                 pointwise_term_value(t, row, c, reference)
-        assert result.cache.misses == reference.misses == len(reference)
+        assert result.cache.misses == reference.misses == len(reference._store)
         assert set(result.cache._store) == set(reference._store)
 
     def test_zero_anchor_output_degenerate(self):

@@ -163,7 +163,7 @@ class TestTrainLocal:
         sim = analytic_bank("polynomial-mix", 3, 5)
         local, c, cache = make_local(sim, (1, 2), n_train=27)
         for x, v in zip(local.train_inputs[25:], local.train_values[25:]):
-            assert np.allclose(v, term_value((1, 2), x, sim, c, cache),
+            assert np.allclose(v, term_value((1, 2), x, c, cache),
                                atol=1e-13)
 
     def test_determinism(self):
@@ -201,7 +201,7 @@ class TestPredictLocal:
         local, c, cache = make_local(sim, (1,), n_train=12)
         xs = np.random.default_rng(0).uniform(0, 1, (10, 1))
         for x, pred in zip(xs, local.predict_mean(xs)):
-            truth = term_value((1,), x, sim, c, cache)
+            truth = term_value((1,), x, c, cache)
             assert np.max(np.abs(pred - truth)) < 1e-3
 
     def test_dimension_mismatch(self):

@@ -1,6 +1,7 @@
 """The traced benchmark run wraps package names by attribute; each must resolve."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from anovagp import bench, cli, emulator, gp
@@ -52,3 +53,31 @@ def test_traced_run_reaches_every_counted_layer():
                       + calls["sgp_training"])
     assert tracer.calls["pca.fit_pca"] > 0
     assert tracer.calls["gp.train_gp.small"] > 0
+
+
+def test_traced_screen_counts_every_embedded_row(tmp_path):
+    """On the screening path (``anovagp decompose``), the traced cache
+    misses are the reported solves, and every embedded row of every scored
+    term reaches the cache: 2^k rows per grid point of an order-k term,
+    plus the anchor."""
+    nodes = 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "simulator": {"name": "diffusion", "elements_per_side": 4,
+                      "k_side": 2},
+        "max_order": 3, "tol_index": 1e-4, "nodes_per_dim": nodes}))
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        code = cli.main(["decompose", "--config", str(config),
+                         "--out", str(tmp_path)])
+    assert code == 0
+    selection = json.loads((tmp_path / "selection.json").read_text())
+    misses = tracer.counts["cache_lookups"] - tracer.counts["cache_hits"]
+    assert misses == selection["simulator_calls"]
+    assert (tracer.calls["simulators.DiffusionSimulator.evaluate"]
+            == selection["simulator_calls"])
+    scored = {int(order): n
+              for order, n in selection["candidate_counts"].items()}
+    assert tracer.calls["anova.term_value"] == sum(scored.values())
+    assert tracer.counts["cache_lookups"] == 1 + sum(
+        n * (2 * nodes) ** order for order, n in scored.items())
