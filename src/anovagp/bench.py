@@ -133,16 +133,27 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read a config file; YAML is the human form, JSON the canonical one."""
-    text = Path(path).read_text()
-    if str(path).endswith(".json"):
-        data = json.loads(text)
-    else:
-        data = yaml.safe_load(text)
+def read_config_file(path: str) -> dict:
+    """The mapping a config or points file holds: JSON when its name ends
+    in .json, YAML otherwise.  A file that does not parse, or holds anything
+    but a mapping, raises ``ConfigError``."""
+    try:
+        text = Path(path).read_text()
+        if str(path).endswith(".json"):
+            data = json.loads(text)
+        else:
+            data = yaml.safe_load(text)
+    except (ValueError, yaml.YAMLError) as err:   # UnicodeDecodeError too
+        raise ConfigError(
+            f"config file {path} does not parse: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} does not hold a mapping")
-    return ExperimentConfig.from_dict(data)
+    return data
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Read a config file; YAML is the human form, JSON the canonical one."""
+    return ExperimentConfig.from_dict(read_config_file(path))
 
 
 def build_simulator(spec: dict) -> Simulator:

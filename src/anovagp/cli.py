@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .anova import adaptive_decompose
-from .bench import build_simulator, load_config, run_experiment
+from .bench import (build_simulator, load_config, read_config_file,
+                    run_experiment)
 from .emulator import AnovaGpEmulator, PcaGp, load_emulator, predict_sgp_mean
 from .exceptions import AnovaGpError, ConfigError
 
@@ -62,14 +63,8 @@ def cmd_train(args) -> int:
 def _load_points(config_path: str) -> np.ndarray:
     """The prediction points of a config; a relative ``points_csv`` is read
     from the config's own directory."""
-    with open(config_path) as fh:
-        text = fh.read()
-    if config_path.endswith(".json"):
-        data = json.loads(text)
-    else:
-        import yaml
-        data = yaml.safe_load(text)
-    if not isinstance(data, dict) or not {"points", "points_csv"} & set(data):
+    data = read_config_file(config_path)
+    if not {"points", "points_csv"} & set(data):
         raise ConfigError("prediction config needs 'points' or 'points_csv'")
     try:
         if "points" in data:

@@ -8,12 +8,19 @@ mean is zero.  Hyperparameters are stored and optimized in log space;
 training minimizes the negative log marginal likelihood with L-BFGS-B from
 randomized scale-aware starts and keeps the best restart.  The training
 covariance is assembled from its strictly lower pairs (i > j) and handled by
-direct LAPACK calls that read only the lower triangle.
+direct LAPACK calls that read only the lower triangle.  GPs trained on more
+than ``POOL_ROWS`` rows can run their starts in forked worker processes
+(``start_pool``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -201,6 +208,11 @@ class GpTrainConfig:
     seed: int = 0
     warm_start: Hyperparameters | None = None
 
+    @property
+    def n_starts(self) -> int:
+        """L-BFGS-B starts of one fit: the warm start and the restarts."""
+        return (self.warm_start is not None) + max(self.restarts, 1)
+
 
 @dataclass
 class GpModel:
@@ -236,17 +248,20 @@ def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
 
 
 def train_gp(inputs: np.ndarray, targets: np.ndarray,
-             config: GpTrainConfig | None = None) -> GpModel:
+             config: GpTrainConfig | None = None,
+             pool: StartPool | None = None) -> GpModel:
     """Fit hyperparameters by restarted NLML minimization.
 
     Initialization is scale-aware: log squared lengths are drawn uniformly in
     [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension i,
     and the signal variance starts around the target variance.  Every start,
     a warm start included, is clipped into the bounds and evaluated by
-    L-BFGS-B.  An evaluation that raises ``IllConditionedKernelError`` reads
-    1e25, and a start that ends at one fails.  The returned model achieves
-    the lowest NLML among the other starts (never worse than any clipped
-    start whose NLML is below 1e25).
+    L-BFGS-B (``_run_start``); a start that ends where the objective failed
+    fails.  The returned model achieves the lowest NLML among the other
+    starts (never worse than any clipped start the objective can evaluate).
+    With a ``pool`` from ``start_pool`` on the same inputs, the starts run
+    in its workers; the model is the same as from the starts run here at
+    the workers' one BLAS thread.
     """
     config = config or GpTrainConfig()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -289,33 +304,174 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     if zero_jitter:   # the pinned jitter is not optimized
         inits = [theta[:-1] for theta in inits]
 
-    pairs = _pairs(inputs)
-    failed: dict[bytes, str] = {}   # why the objective failed, per theta
-
-    def objective(theta):
-        try:
-            return _nlml_value_grad(theta, pairs, targets)
-        except IllConditionedKernelError as err:
-            failed[theta.tobytes()] = str(err)
-            return 1e25, np.zeros(theta.size)
-
     bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
-
-    # L-BFGS-B clips each start into the bounds before its first evaluation
-    results = [minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                        bounds=bounds, options={"maxiter": config.max_iter})
-               for theta0 in inits]
-    fits = [r for r in results if r.x.tobytes() not in failed]
+    if pool is None:
+        pairs = _pairs(inputs)
+        results = [_run_start(theta0, pairs, targets, bounds, config.max_iter)
+                   for theta0 in inits]
+    else:
+        if not np.array_equal(pool.inputs, inputs):
+            raise ValueError("the start pool was opened on other input rows")
+        pairs = pool.pairs
+        results = pool.workers.starmap(
+            _pooled_start,
+            [(theta0, targets, bounds, config.max_iter) for theta0 in inits])
+    fits = [(value, theta) for theta, value, reason in results
+            if reason is None]
     if not fits:
-        reasons = dict.fromkeys(failed[r.x.tobytes()] for r in results)
+        reasons = dict.fromkeys(reason for _, _, reason in results)
         raise TrainingFailedError(
             f"all {len(inits)} restarts failed (N={n}, M={m}, jitter_floor="
             f"{floor}): " + "; ".join(reasons))
-    best_theta = min(fits, key=lambda r: r.fun).x
+    best_theta = min(fits, key=lambda fit: fit[0])[1]
     if zero_jitter:
         best_theta = np.append(best_theta, -np.inf)
     return posterior(inputs, targets, Hyperparameters.from_array(best_theta),
                      pairs)
+
+
+def _run_start(theta0: np.ndarray, pairs: Pairs, targets: np.ndarray,
+               bounds, max_iter: int) -> tuple[np.ndarray, float, str | None]:
+    """One L-BFGS-B start: its end point, the NLML there, and why the
+    objective failed there (None when it did not).
+
+    L-BFGS-B clips theta0 into the bounds before its first evaluation.  An
+    evaluation that raises ``IllConditionedKernelError`` returns a zero
+    gradient and a value above every NLML the start has seen (1e25 unless
+    one of them reached it), so the optimizer never reads it as a decrease.
+    """
+    failed: dict[bytes, str] = {}   # why the objective failed, per theta
+    worst = -math.inf
+
+    def objective(theta):
+        nonlocal worst
+        try:
+            value, grad = _nlml_value_grad(theta, pairs, targets)
+        except IllConditionedKernelError as err:
+            failed[theta.tobytes()] = str(err)
+            sentinel = max(1e25, math.nextafter(worst, math.inf))
+            return sentinel, np.zeros(theta.size)
+        worst = max(worst, value)
+        return value, grad
+
+    result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                      bounds=bounds, options={"maxiter": max_iter})
+    return result.x, float(result.fun), failed.get(result.x.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Worker processes for the starts of large fits
+# ---------------------------------------------------------------------------
+
+# GPs trained on more rows than this may run their starts in worker processes
+POOL_ROWS = 64
+
+
+class StartPool(NamedTuple):
+    """Worker processes that run ``train_gp``'s starts on one set of rows.
+
+    The workers inherited ``pairs`` when they were forked, so a start sends
+    them only its theta and targets.
+    """
+
+    inputs: np.ndarray
+    pairs: Pairs
+    workers: multiprocessing.pool.Pool
+
+
+_worker_pairs: Pairs | None = None   # set in each worker of a StartPool
+
+
+def _init_worker(pairs: Pairs, controls: list[tuple]) -> None:
+    global _worker_pairs
+    _worker_pairs = pairs
+    for _, set_ in controls:   # before any BLAS call of this worker
+        set_(1)
+
+
+def _pooled_start(theta0, targets, bounds, max_iter):
+    return _run_start(theta0, _worker_pairs, targets, bounds, max_iter)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not Linux
+        return os.cpu_count() or 1
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS library loaded,
+    or [] when one of them has none (or the libraries cannot be listed)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        suffix = next((s for s in ("64_", "") if hasattr(
+            lib, f"scipy_openblas_set_num_threads{s}")), None)
+        if suffix is None:
+            return []
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int, controls: list[tuple]):
+    """Run the block with the OpenBLAS libraries of ``controls`` (from
+    ``_openblas_thread_controls``) at ``count`` threads, and restore their
+    old counts on exit."""
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
+
+
+@contextlib.contextmanager
+def start_pool(inputs: np.ndarray, n_starts: int):
+    """Workers for the starts of GPs trained on ``inputs``, or None.
+
+    Yields a ``StartPool`` with min(n_starts, usable CPUs) workers when the
+    rows number more than ``POOL_ROWS`` and the starts at least two, two or
+    more CPUs are usable, the platform forks, no other thread runs (forking
+    a threaded process is unsafe) and every loaded OpenBLAS can set its
+    thread count.  Otherwise it yields None, and ``train_gp`` runs the
+    starts one after another.  Each worker sets OpenBLAS to one thread
+    before its first BLAS call; at two, two workers would fight over the
+    cores.  This process runs at one thread too until the workers are shut
+    down on exit, because at two its BLAS threads spin between calls on
+    the cores the workers need; its old counts are restored on exit.  (It
+    forks at those counts: forked at one thread, its first call after the
+    restore often waited about 0.1 s.)
+    """
+    workers = min(n_starts, _usable_cpus())
+    if (len(inputs) <= POOL_ROWS or workers < 2
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1
+            or not (controls := _openblas_thread_controls())):
+        yield None
+        return
+    pairs = _pairs(inputs)
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(pairs, controls))
+    try:
+        with _blas_threads(1, controls):
+            yield StartPool(inputs, pairs, pool)
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:

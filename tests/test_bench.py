@@ -343,10 +343,10 @@ class TestCli:
         the first fit on the S-GP's two inputs."""
         real_train_gp = emulator.train_gp
 
-        def failing(inputs, targets, config):
+        def failing(inputs, targets, config, pool=None):
             if inputs.shape == (n_rows, width):
                 raise TrainingFailedError("all restarts failed")
-            return real_train_gp(inputs, targets, config)
+            return real_train_gp(inputs, targets, config, pool)
 
         monkeypatch.setattr(emulator, "train_gp", failing)
         assert main(["train", "--config", config_path,
@@ -393,6 +393,45 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["benchmark", "--config",
                      str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad.json", '{"n_train": 8,'),
+        ("bad.yaml", "n_train: [8\n"),
+        ("bad.yml", "points: {a: 1\n"),
+        ("binary.json", b"\xff\xfe{}"),
+    ])
+    @pytest.mark.parametrize("command", ["decompose", "predict"])
+    def test_malformed_file_exit_code(self, tmp_path, report, capsys, name,
+                                      text, command):
+        """A config or points file that does not parse exits 2 with one
+        JSON error line that names it, never with a traceback."""
+        _, out = report
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        argv = [command, "--config", str(path)]
+        if command == "predict":
+            argv += ["--emulator", str(out / "sgp.npz")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"config file {path} does not parse")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("content", [b"not an archive\n", b"",
+                                         b"PK\x03\x04truncated"])
+    def test_inspect_non_archive_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "emulator.npz"
+        path.write_bytes(content)
+        assert main(["inspect", "--emulator", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "config", "message":
+                                    f"{path} is not an npz archive"}
 
     def test_bad_predict_payload(self, tmp_path, config_path, capsys):
         out = tmp_path / "run"

@@ -145,7 +145,7 @@ class TestTrainLocal:
         local, _, _ = make_local(sim, (1,), n_train=9, gp_config=config)
         # one refit trains every mode on the same inputs array
         refits = []
-        for (inputs, _, cfg), model in fits:
+        for (inputs, _, cfg, _), model in fits:
             if not refits or refits[-1][0][0] is not inputs:
                 refits.append([])
             refits[-1].append((inputs, cfg, model))
@@ -352,6 +352,19 @@ class TestSerialization:
             patch_archive_meta(path, bad, patch)
             with pytest.raises(ConfigError):
                 load_emulator(str(bad))
+
+    def test_non_archive_rejected(self, tmp_path):
+        text = tmp_path / "text.npz"
+        text.write_text("not an archive\n")
+        single = tmp_path / "single.npy"
+        np.save(single, np.zeros(3))
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, x=np.zeros(2))
+        for path in (text, single):
+            with pytest.raises(ConfigError, match="is not an npz archive"):
+                load_emulator(str(path))
+        with pytest.raises(ConfigError, match="without the 'meta' member"):
+            load_emulator(str(foreign))
 
     def test_batched_roundtrip_bitwise(self, tmp_path):
         xs = np.random.default_rng(12).uniform(0, 1, (25, 3))

@@ -520,6 +520,46 @@ class TestTraining:
         assert len(seen) > 3
         assert all(a != b for a, b in zip(seen, seen[1:]))
 
+    def test_failed_evaluation_reads_worse_than_every_real_nlml(self):
+        # constant targets: the real NLMLs reach 1e31, above the old fixed
+        # sentinel of 1e25, before the starts reach covariances dpotrf
+        # rejects
+        X, y = np.zeros((10, 1)), np.full(10, 2.27324455)
+        pairs = _pairs(X)
+        starts = []
+        minimize = gp.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            seen = []
+            starts.append(seen)
+
+            def objective(theta):
+                value, grad = fun(theta)
+                try:
+                    real = _nlml_value_grad(theta, pairs, y)[0]
+                except IllConditionedKernelError:
+                    real = None
+                seen.append((real, value))
+                return value, grad
+            return minimize(objective, x0, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "minimize", recording)
+            model = train_gp(X, y)
+        assert len(starts) == 5
+        huge_then_failed = 0
+        for seen in starts:
+            for i, (real, value) in enumerate(seen):
+                before = [r for r, _ in seen[:i] if r is not None]
+                if real is not None:
+                    assert value == real
+                else:
+                    assert value >= 1e25 and all(value > r for r in before)
+                    huge_then_failed += max(before, default=0.0) >= 1e25
+        assert huge_then_failed
+        theta = model.hyper.as_array()
+        assert model.final_nlml == _nlml_value_grad(theta, pairs, y)[0]
+
     def test_warm_start_used(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, (8, 1))

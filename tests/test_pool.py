@@ -1,0 +1,182 @@
+"""Tests for the worker processes that run the starts of large GP fits."""
+
+import contextlib
+import multiprocessing
+import threading
+
+import numpy as np
+import pytest
+
+from anovagp import emulator, gp
+from anovagp.emulator import load_emulator, save_emulator, train_sgp
+from anovagp.exceptions import IllConditionedKernelError, TrainingFailedError
+from anovagp.gp import GpTrainConfig, start_pool, train_gp
+from anovagp.simulators import analytic_bank
+
+N = gp.POOL_ROWS + 16
+FAST = GpTrainConfig(restarts=3, max_iter=25, seed=4)
+
+poolable = pytest.mark.skipif(
+    gp._usable_cpus() < 2 or not gp._openblas_thread_controls(),
+    reason="needs two usable CPUs and OpenBLAS thread-count functions")
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """This process at the workers' one BLAS thread, so that pooled and
+    sequential starts do the same arithmetic."""
+    with gp._blas_threads(1, gp._openblas_thread_controls()):
+        yield
+
+
+def data(n=N, m=3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, m))
+    return X, np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.hyper.as_array(), b.hyper.as_array())
+    assert np.array_equal(a.chol_lower, b.chol_lower)
+    assert np.array_equal(a.weights, b.weights)
+    assert a.final_nlml == b.final_nlml
+
+
+def assert_same_block(a, b):
+    assert a.rank == b.rank
+    for g, h in zip(a.mode_gps, b.mode_gps):
+        assert_same_model(g, h)
+
+
+def spy_pools(monkeypatch) -> list:
+    """Record what every ``start_pool`` the emulator opens yields."""
+    yielded = []
+
+    @contextlib.contextmanager
+    def spy(*args):
+        with start_pool(*args) as pool:
+            yielded.append(pool)
+            yield pool
+
+    monkeypatch.setattr(emulator, "start_pool", spy)
+    return yielded
+
+
+@poolable
+class TestPooledStarts:
+    @pytest.mark.parametrize("jitter_floor", [None, 0.0])
+    def test_pooled_equals_sequential(self, jitter_floor):
+        X, y = data()
+        cfg = GpTrainConfig(restarts=3, max_iter=25, seed=4,
+                            jitter_floor=jitter_floor)
+        with one_blas_thread():
+            sequential = train_gp(X, y, cfg)
+            with start_pool(X, cfg.n_starts) as pool:
+                assert pool is not None
+                assert len(multiprocessing.active_children()) == min(
+                    cfg.n_starts, gp._usable_cpus())
+                pooled = train_gp(X, y, cfg, pool)
+        assert_same_model(pooled, sequential)
+        assert multiprocessing.active_children() == []
+
+    def test_warm_start_pooled(self):
+        X, y = data(seed=1)
+        base = train_gp(X, y, FAST)
+        cfg = GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper)
+        with one_blas_thread():
+            sequential = train_gp(X, y, cfg)
+            with start_pool(X, cfg.n_starts) as pool:
+                pooled = train_gp(X, y, cfg, pool)
+        assert_same_model(pooled, sequential)
+
+    def test_pool_on_other_rows_rejected(self):
+        X, y = data()
+        with start_pool(X, 2) as pool:
+            with pytest.raises(ValueError, match="other input rows"):
+                train_gp(X[::-1], y, FAST, pool)
+
+    def test_no_worker_outlives_train_sgp(self, monkeypatch):
+        pools = spy_pools(monkeypatch)
+        sim = analytic_bank("polynomial-mix", 4, 6)
+        train_sgp(sim, N, seed=2, gp_config=FAST)
+        assert pools and all(pool is not None for pool in pools)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_block(self, monkeypatch):
+        pools = spy_pools(monkeypatch)
+
+        def fails(*args):
+            raise IllConditionedKernelError("forced failure")
+
+        # the forked workers inherit the patched kernel
+        monkeypatch.setattr(gp, "_nlml_value_grad", fails)
+        sim = analytic_bank("polynomial-mix", 4, 6)
+        with pytest.raises(TrainingFailedError,
+                           match=r"term sgp, mode 0, .*all 3 restarts failed"
+                                 r" .*: forced failure$"):
+            train_sgp(sim, N, seed=2, gp_config=FAST)
+        assert pools and pools[0] is not None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("force", ["cpus", "setters"])
+    def test_sequential_fallback_same_models(self, monkeypatch, force):
+        sim = analytic_bank("polynomial-mix", 4, 6)
+        controls = gp._openblas_thread_controls()
+        with gp._blas_threads(1, controls):
+            pooled = train_sgp(sim, N, seed=3, gp_config=FAST)
+            pools = spy_pools(monkeypatch)
+            if force == "cpus":
+                monkeypatch.setattr(gp, "_usable_cpus", lambda: 1)
+            else:
+                monkeypatch.setattr(gp, "_openblas_thread_controls",
+                                    lambda: [])
+            sequential = train_sgp(sim, N, seed=3, gp_config=FAST)
+        assert pools and all(pool is None for pool in pools)
+        assert_same_block(pooled, sequential)
+
+
+def test_small_or_single_start_fits_stay_here():
+    X, _ = data()
+    with start_pool(X[:gp.POOL_ROWS], 5) as pool:
+        assert pool is None
+    with start_pool(X, 1) as pool:
+        assert pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_other_threads_keep_fits_here():
+    # forking a process that runs other threads is unsafe
+    X, _ = data()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with start_pool(X, 2) as pool:
+            assert pool is None
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_blas_threads_restored():
+    controls = gp._openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    with gp._blas_threads(1, controls):
+        assert all(get() == 1 for get, _ in controls)
+    assert [get() for get, _ in controls] == before
+
+
+def test_loaded_sgp_predicts_like_trained_at_n200(tmp_path):
+    """The posteriors of a pooled block are computed at this process's BLAS
+    thread count, as a loaded archive's are, even where the factorization
+    differs by thread count."""
+    sim = analytic_bank("polynomial-mix", 4, 6)
+    block = train_sgp(sim, 200, seed=5,
+                      gp_config=GpTrainConfig(restarts=2, max_iter=15))
+    path = tmp_path / "sgp.npz"
+    save_emulator(block, str(path))
+    loaded = load_emulator(str(path))
+    assert_same_block(block, loaded)
+    xs = sim.uniform_sample(np.random.default_rng(6), 50)
+    assert np.array_equal(block.predict_mean(xs), loaded.predict_mean(xs))
