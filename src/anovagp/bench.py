@@ -25,7 +25,8 @@ from .emulator import (AnovaGpEmulator, PcaGp, assemble, predict_sgp_mean,
                        save_emulator, train_local, train_sgp)
 from .exceptions import ConfigError
 from .gp import GpTrainConfig
-from .simulators import DiffusionSimulator, Simulator, analytic_bank
+from .simulators import ANALYTIC_SIMULATORS, DiffusionSimulator, Simulator, \
+    analytic_bank
 
 # stage tags for sub-seed derivation
 _STAGE_TEST = 1
@@ -59,8 +60,7 @@ _INT_MINIMUMS = {"nodes_per_dim": 1, "max_order": 1, "n_train": 1, "n_test": 1,
 # the keys each simulator block may hold besides "name"
 _SIMULATOR_KEYS = {
     "diffusion": {"elements_per_side", "k_side", "coeff_interval"},
-    **dict.fromkeys(("additive", "rank-one-product", "polynomial-mix"),
-                    {"m", "output_dim"})}
+    **dict.fromkeys(ANALYTIC_SIMULATORS, {"m", "output_dim"})}
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
 from .gp import GpModel, GpTrainConfig, Hyperparameters, cross_kernel, \
-    posterior, predict_batch, start_pool, train_gp
+    posterior, predict_batch, train_gp
 from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
@@ -99,10 +99,8 @@ def _fit_block(coords: AnovaIndex, inputs: np.ndarray, values: np.ndarray,
     """Fit PCA to the values, then one GP per retained mode over the inputs.
 
     Mode r warm-starts from mode r of the previous refit's block, when that
-    block has one.  On more than ``POOL_ROWS`` rows the modes' starts run in
-    worker processes that live as long as this call (``start_pool``).  A
-    failed fit is raised again naming the term ("sgp" for the S-GP), the
-    mode and the stage.
+    block has one.  A failed fit is raised again naming the term ("sgp" for
+    the S-GP), the mode and the stage.
     """
     pca_model, targets = fit_pca(values, tol_pca)
     previous = previous_block.mode_gps if previous_block is not None else []
@@ -112,24 +110,13 @@ def _fit_block(coords: AnovaIndex, inputs: np.ndarray, values: np.ndarray,
         if r < len(previous):
             cfg = replace(cfg, warm_start=previous[r].hyper, restarts=1)
         configs.append(cfg)
-    n_starts = max((cfg.n_starts for cfg in configs), default=0)
-    mode_gps = []
-    with start_pool(inputs, n_starts) as pool:
-        for r, cfg in enumerate(configs):
-            try:
-                mode_gps.append(train_gp(inputs, targets[r], cfg, pool))
-            except TrainingFailedError as err:
-                stage = ("train_sgp" if term == "sgp"
-                         else f"train_local refit {refit}")
-                raise TrainingFailedError(
-                    str(err), term=term, mode=r,
-                    stage=f"{stage} (N={len(inputs)})") from err
-    if pool is not None:
-        # the posteriors above were computed at one BLAS thread; compute
-        # them again at this process's thread counts, as loading the
-        # block's archive does, so that both predict bitwise alike
-        mode_gps = [posterior(inputs, g.targets, g.hyper, pool.pairs)
-                    for g in mode_gps]
+    try:
+        mode_gps = train_gp(inputs, targets, configs)
+    except TrainingFailedError as err:
+        stage = "train_sgp" if term == "sgp" else f"train_local refit {refit}"
+        raise TrainingFailedError(
+            str(err), term=term, mode=err.mode,
+            stage=f"{stage} (N={len(inputs)})") from err
     return PcaGp(coords=coords, pca=pca_model, mode_gps=mode_gps,
                  train_inputs=inputs, train_values=values)
 

@@ -18,8 +18,9 @@ class TrainingFailedError(AnovaGpError):
 
     Raised from a PCA + GP block, it carries and names in its message
     ``term`` (an ANOVA index, or "sgp" for the baseline), ``mode`` (the PCA
-    mode) and ``stage`` (the pipeline stage and refit); all three are None
-    when ``train_gp`` is called directly.
+    mode) and ``stage`` (the pipeline stage and refit).  From ``train_gp``
+    called directly, ``term`` and ``stage`` are None, and ``mode`` is the
+    failed row when it fits rows of targets (None for one vector).
     """
 
     def __init__(self, message, term=None, mode=None, stage=None):

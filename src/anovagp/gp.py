@@ -8,9 +8,9 @@ mean is zero.  Hyperparameters are stored and optimized in log space;
 training minimizes the negative log marginal likelihood with L-BFGS-B from
 randomized scale-aware starts and keeps the best restart.  The training
 covariance is assembled from its strictly lower pairs (i > j) and handled by
-direct LAPACK calls that read only the lower triangle.  GPs trained on more
-than ``POOL_ROWS`` rows can run their starts in forked worker processes
-(``start_pool``).
+direct LAPACK calls that read only the lower triangle.  ``train_gp`` fits
+one target vector or a block of them over the same inputs; a block on more
+than ``POOL_ROWS`` rows can run its starts in forked worker processes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import multiprocessing
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,12 +89,16 @@ class Pairs(NamedTuple):
 
 
 def _pairs(X: np.ndarray) -> Pairs:
-    n = X.shape[0]
+    n, m = X.shape
     rows, cols = np.tril_indices(n, -1)
-    xt = np.ascontiguousarray(X.T)
-    diff = np.take(xt, rows, axis=1) - np.take(xt, cols, axis=1)
-    diff *= diff
-    return Pairs(diff, cols * n + rows, n)
+    # one dimension at a time, so that no temporary is as large as sqdists
+    sqdists, other = np.empty((m, rows.size)), np.empty(rows.size)
+    for x, diff in zip(X.T, sqdists):
+        np.take(x, rows, out=diff)
+        np.take(x, cols, out=other)
+        diff -= other
+        diff *= diff
+    return Pairs(sqdists, cols * n + rows, n)
 
 
 def _condition(pairs: Pairs, sq_lengths: np.ndarray, signal_var: float,
@@ -196,8 +201,9 @@ def nlml_gradient(hyper: Hyperparameters, inputs: np.ndarray,
 class GpTrainConfig:
     """Settings for hyperparameter optimization.
 
-    ``jitter_floor`` of None means 1e-10 times the target variance; a floor
-    of exactly 0 pins the jitter at zero and trains a noise-free
+    ``jitter_floor`` of None means 1e-10 times the target variance (their
+    mean square for constant targets, 1e-12 when that is 0); a floor of
+    exactly 0 pins the jitter at zero and trains a noise-free
     (interpolating) model.  A ``warm_start`` is tried before the random
     restarts.
     """
@@ -207,11 +213,6 @@ class GpTrainConfig:
     jitter_floor: float | None = None
     seed: int = 0
     warm_start: Hyperparameters | None = None
-
-    @property
-    def n_starts(self) -> int:
-        """L-BFGS-B starts of one fit: the warm start and the restarts."""
-        return (self.warm_start is not None) + max(self.restarts, 1)
 
 
 @dataclass
@@ -248,47 +249,93 @@ def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
 
 
 def train_gp(inputs: np.ndarray, targets: np.ndarray,
-             config: GpTrainConfig | None = None,
-             pool: StartPool | None = None) -> GpModel:
+             config: GpTrainConfig | Sequence[GpTrainConfig] | None = None
+             ) -> GpModel | list[GpModel]:
     """Fit hyperparameters by restarted NLML minimization.
 
-    Initialization is scale-aware: log squared lengths are drawn uniformly in
-    [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension i,
-    and the signal variance starts around the target variance.  Every start,
-    a warm start included, is clipped into the bounds and evaluated by
-    L-BFGS-B (``_run_start``); a start that ends where the objective failed
-    fails.  The returned model achieves the lowest NLML among the other
-    starts (never worse than any clipped start the objective can evaluate).
-    With a ``pool`` from ``start_pool`` on the same inputs, the starts run
-    in its workers; the model is the same as from the starts run here at
-    the workers' one BLAS thread.
+    ``targets`` is one vector (N,) with one ``config`` (one model returned)
+    or rows (R, N) with R configs (R models over the same inputs).
+    Initialization is scale-aware: log squared lengths are drawn uniformly
+    in [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension
+    i, and the signal variance starts around the target variance.  Every
+    start, a warm start included, is clipped into the bounds and evaluated
+    by L-BFGS-B (``_run_start``); a start that ends where the objective
+    failed fails.  Each model achieves the lowest NLML among its row's
+    other starts (never worse than any clipped start the objective can
+    evaluate).  All starts run through one map, in worker processes on more
+    than ``POOL_ROWS`` rows (``_start_pool``, same models as run here at
+    one BLAS thread); every model is then conditioned here.  A row whose
+    starts all fail raises ``TrainingFailedError`` with ``mode`` that row.
     """
-    config = config or GpTrainConfig()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
+    single = targets.ndim == 1
+    rows = targets[None] if single else targets
+    configs = [config or GpTrainConfig()] if single else list(config)
     n, m = inputs.shape
-    if targets.shape != (n,):
-        raise ValueError("targets must be a vector with one entry per input row")
+    if rows.ndim != 2 or rows.shape[1] != n or len(configs) != len(rows):
+        raise ValueError("targets must be a vector or rows with one entry per "
+                         "input row, and one config per row")
     if n < 1:
         raise ValueError("training requires at least one point")
 
-    target_var = float(np.var(targets))
+    plans = [_plan_starts(inputs, y, cfg, None if single else r)
+             for r, (y, cfg) in enumerate(zip(rows, configs))]
+    tasks = [(theta0, y, bounds, cfg.max_iter)
+             for (inits, bounds, _), y, cfg in zip(plans, rows, configs)
+             for theta0 in inits]
+    n_starts = max((len(inits) for inits, _, _ in plans), default=0)
+    with _start_pool(inputs, n_starts) as (pairs, pool):
+        if pool is None:
+            results = [_run_start(pairs, *task) for task in tasks]
+        else:
+            results = pool.starmap(_pooled_start, tasks, chunksize=1)
+    # the workers are gone and this process is back at its BLAS threads
+    models = []
+    for r, ((inits, bounds, floor), y) in enumerate(zip(plans, rows)):
+        row, results = results[:len(inits)], results[len(inits):]
+        fits = [(value, theta) for theta, value, reason in row
+                if reason is None]
+        if not fits:
+            reasons = dict.fromkeys(reason for _, _, reason in row)
+            raise TrainingFailedError(
+                f"all {len(inits)} restarts failed (N={n}, M={m}, "
+                f"jitter_floor={floor}): " + "; ".join(reasons),
+                mode=None if single else r)
+        best_theta = min(fits, key=lambda fit: fit[0])[1]
+        if bounds is None:   # the pinned zero jitter
+            best_theta = np.append(best_theta, -np.inf)
+        models.append(posterior(inputs, y, Hyperparameters.from_array(
+            best_theta), pairs))
+    return models[0] if single else models
+
+
+def _plan_starts(inputs: np.ndarray, targets: np.ndarray,
+                 config: GpTrainConfig, mode: int | None
+                 ) -> tuple[list[np.ndarray], list | None, float]:
+    """The L-BFGS-B starts of one target vector, their bounds (None for a
+    zero jitter floor, whose jitter is not optimized) and the floor."""
+    n, m = inputs.shape
+    # exactly equal targets have zero variance, whatever np.var rounds to;
+    # their scale is their mean square instead
+    scale = float(np.var(targets) if np.ptp(targets) > 0
+                  else np.mean(targets ** 2))
     floor = config.jitter_floor
     if floor is None:
-        floor = 1e-10 * target_var if target_var > 0 else 1e-12
+        floor = 1e-10 * scale if scale > 0 else 1e-12
     zero_jitter = floor == 0.0
     if zero_jitter and np.unique(inputs, axis=0).shape[0] < n:
         # duplicated rows make the noise-free covariance exactly singular,
         # which rounding inside the factorization may fail to detect
         raise TrainingFailedError(
             "duplicate input rows with a zero jitter floor give a singular "
-            "covariance matrix")
+            "covariance matrix", mode=mode)
     log_floor = np.log(floor) if floor > 0 else -np.inf
 
     spans = inputs.max(axis=0) - inputs.min(axis=0)
     # log(a s^2) below needs s^2 to be a normal float; other spans act as 1
     spans = np.where(spans ** 2 >= np.finfo(float).tiny, spans, 1.0)
-    sig_scale = target_var if target_var > 0 else 1.0
+    sig_scale = scale if scale > 0 else 1.0
 
     rng = np.random.default_rng(config.seed)
     inits = []
@@ -302,35 +349,11 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
         log_sig2 = np.log(sig_scale) + rng.uniform(-1.0, 1.0)
         inits.append(np.concatenate([log_ell, [log_sig2, log_floor]]))
     if zero_jitter:   # the pinned jitter is not optimized
-        inits = [theta[:-1] for theta in inits]
-
-    bounds = None if zero_jitter else [(None, None)] * (m + 1) + [(log_floor, None)]
-    if pool is None:
-        pairs = _pairs(inputs)
-        results = [_run_start(theta0, pairs, targets, bounds, config.max_iter)
-                   for theta0 in inits]
-    else:
-        if not np.array_equal(pool.inputs, inputs):
-            raise ValueError("the start pool was opened on other input rows")
-        pairs = pool.pairs
-        results = pool.workers.starmap(
-            _pooled_start,
-            [(theta0, targets, bounds, config.max_iter) for theta0 in inits])
-    fits = [(value, theta) for theta, value, reason in results
-            if reason is None]
-    if not fits:
-        reasons = dict.fromkeys(reason for _, _, reason in results)
-        raise TrainingFailedError(
-            f"all {len(inits)} restarts failed (N={n}, M={m}, jitter_floor="
-            f"{floor}): " + "; ".join(reasons))
-    best_theta = min(fits, key=lambda fit: fit[0])[1]
-    if zero_jitter:
-        best_theta = np.append(best_theta, -np.inf)
-    return posterior(inputs, targets, Hyperparameters.from_array(best_theta),
-                     pairs)
+        return [theta[:-1] for theta in inits], None, floor
+    return inits, [(None, None)] * (m + 1) + [(log_floor, None)], floor
 
 
-def _run_start(theta0: np.ndarray, pairs: Pairs, targets: np.ndarray,
+def _run_start(pairs: Pairs, theta0: np.ndarray, targets: np.ndarray,
                bounds, max_iter: int) -> tuple[np.ndarray, float, str | None]:
     """One L-BFGS-B start: its end point, the NLML there, and why the
     objective failed there (None when it did not).
@@ -366,20 +389,7 @@ def _run_start(theta0: np.ndarray, pairs: Pairs, targets: np.ndarray,
 # GPs trained on more rows than this may run their starts in worker processes
 POOL_ROWS = 64
 
-
-class StartPool(NamedTuple):
-    """Worker processes that run ``train_gp``'s starts on one set of rows.
-
-    The workers inherited ``pairs`` when they were forked, so a start sends
-    them only its theta and targets.
-    """
-
-    inputs: np.ndarray
-    pairs: Pairs
-    workers: multiprocessing.pool.Pool
-
-
-_worker_pairs: Pairs | None = None   # set in each worker of a StartPool
+_worker_pairs: Pairs | None = None   # set in each worker of a start pool
 
 
 def _init_worker(pairs: Pairs, controls: list[tuple]) -> None:
@@ -389,8 +399,8 @@ def _init_worker(pairs: Pairs, controls: list[tuple]) -> None:
         set_(1)
 
 
-def _pooled_start(theta0, targets, bounds, max_iter):
-    return _run_start(theta0, _worker_pairs, targets, bounds, max_iter)
+def _pooled_start(*task):
+    return _run_start(_worker_pairs, *task)
 
 
 def _usable_cpus() -> int:
@@ -440,35 +450,34 @@ def _blas_threads(count: int, controls: list[tuple]):
 
 
 @contextlib.contextmanager
-def start_pool(inputs: np.ndarray, n_starts: int):
-    """Workers for the starts of GPs trained on ``inputs``, or None.
+def _start_pool(inputs: np.ndarray, n_starts: int):
+    """Yields the pairs of ``inputs`` and a pool of min(n_starts, usable
+    CPUs) workers that inherited them, or None for the pool.
 
-    Yields a ``StartPool`` with min(n_starts, usable CPUs) workers when the
-    rows number more than ``POOL_ROWS`` and the starts at least two, two or
-    more CPUs are usable, the platform forks, no other thread runs (forking
-    a threaded process is unsafe) and every loaded OpenBLAS can set its
-    thread count.  Otherwise it yields None, and ``train_gp`` runs the
-    starts one after another.  Each worker sets OpenBLAS to one thread
-    before its first BLAS call; at two, two workers would fight over the
-    cores.  This process runs at one thread too until the workers are shut
-    down on exit, because at two its BLAS threads spin between calls on
-    the cores the workers need; its old counts are restored on exit.  (It
-    forks at those counts: forked at one thread, its first call after the
-    restore often waited about 0.1 s.)
+    The pool exists when the rows number more than ``POOL_ROWS``, some fit
+    has two or more starts, two or more CPUs are usable, the platform
+    forks, no other thread runs (forking a threaded process is unsafe) and
+    every loaded OpenBLAS can set its thread count.  Each worker sets
+    OpenBLAS to one thread before its first BLAS call; at two, two workers
+    would fight over the cores.  This process runs at one thread too while
+    the pool is open, because at two its BLAS threads spin between calls on
+    the cores the workers need; on exit its old counts are restored and the
+    workers shut down.  (It forks at those counts: forked at one thread,
+    its first call after the restore often waited about 0.1 s.)
     """
+    pairs = _pairs(inputs)
     workers = min(n_starts, _usable_cpus())
     if (len(inputs) <= POOL_ROWS or workers < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1
             or not (controls := _openblas_thread_controls())):
-        yield None
+        yield pairs, None
         return
-    pairs = _pairs(inputs)
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_init_worker, initargs=(pairs, controls))
     try:
         with _blas_threads(1, controls):
-            yield StartPool(inputs, pairs, pool)
+            yield pairs, pool
     finally:
         pool.terminate()
         pool.join()

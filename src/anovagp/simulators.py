@@ -268,7 +268,7 @@ class PolynomialMixSimulator(_AnalyticSimulator):
         return out
 
 
-_BANK = {
+ANALYTIC_SIMULATORS = {
     "additive": AdditiveSimulator,
     "rank-one-product": RankOneProductSimulator,
     "polynomial-mix": PolynomialMixSimulator,
@@ -276,14 +276,11 @@ _BANK = {
 
 
 def analytic_bank(name: str, m: int, output_dim: int) -> Simulator:
-    """Build an analytic simulator by name.
-
-    Known names: additive, rank-one-product, polynomial-mix.
-    """
+    """Build an analytic simulator by name, a key of ``ANALYTIC_SIMULATORS``."""
     try:
-        cls = _BANK[name]
+        cls = ANALYTIC_SIMULATORS[name]
     except KeyError:
         raise ConfigError(
             f"unknown analytic simulator {name!r}; "
-            f"known: {sorted(_BANK)}") from None
+            f"known: {sorted(ANALYTIC_SIMULATORS)}") from None
     return cls(m, output_dim)

@@ -15,6 +15,7 @@ from anovagp.bench import (ExperimentConfig, build_simulator, derive_seed,
 from anovagp.cli import main
 from anovagp.emulator import load_emulator
 from anovagp.exceptions import ConfigError, TrainingFailedError
+from anovagp.simulators import ANALYTIC_SIMULATORS
 
 CHEAP = {
     "simulator": {"name": "additive", "m": 2, "output_dim": 5},
@@ -163,6 +164,12 @@ class TestConfig:
         path.write_text(json.dumps(data))
         assert main(["decompose", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_SIMULATORS))
+    def test_every_analytic_simulator_is_a_config_name(self, name):
+        sim = build_simulator({"name": name, "m": 3, "output_dim": 5})
+        assert type(sim) is ANALYTIC_SIMULATORS[name]
+        assert (sim.input_dim, sim.output_dim) == (3, 5)
 
     def test_load_json_and_yaml(self, tmp_path):
         jpath = tmp_path / "c.json"
@@ -343,10 +350,10 @@ class TestCli:
         the first fit on the S-GP's two inputs."""
         real_train_gp = emulator.train_gp
 
-        def failing(inputs, targets, config, pool=None):
+        def failing(inputs, targets, configs):
             if inputs.shape == (n_rows, width):
-                raise TrainingFailedError("all restarts failed")
-            return real_train_gp(inputs, targets, config, pool)
+                raise TrainingFailedError("all restarts failed", mode=0)
+            return real_train_gp(inputs, targets, configs)
 
         monkeypatch.setattr(emulator, "train_gp", failing)
         assert main(["train", "--config", config_path,

@@ -143,21 +143,17 @@ class TestTrainLocal:
         config = GpTrainConfig(restarts=3, max_iter=60,
                                jitter_floor=jitter_floor)
         local, _, _ = make_local(sim, (1,), n_train=9, gp_config=config)
-        # one refit trains every mode on the same inputs array
-        refits = []
-        for (inputs, _, cfg, _), model in fits:
-            if not refits or refits[-1][0][0] is not inputs:
-                refits.append([])
-            refits[-1].append((inputs, cfg, model))
+        # one call per refit trains every mode
+        refits = [list(zip(cfgs, models)) for (_, _, cfgs), models in fits]
         assert len(refits) == 9 - 5 + 1
         assert local.rank >= 1
         assert all(cfg.warm_start is None and cfg.restarts == 3
-                   for _, cfg, _ in refits[0])
+                   for cfg, _ in refits[0])
         for previous, current in zip(refits, refits[1:]):
-            for r, (_, cfg, _) in enumerate(current):
+            for r, (cfg, _) in enumerate(current):
                 if r < len(previous):
                     assert cfg.restarts == 1
-                    assert cfg.warm_start is previous[r][2].hyper
+                    assert cfg.warm_start is previous[r][1].hyper
 
     def test_acquired_values_are_term_values(self):
         sim = analytic_bank("polynomial-mix", 3, 5)

@@ -1,5 +1,7 @@
 """Tests for GP regression: kernel, likelihood, gradient, training, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,36 @@ class TestKernel:
         rows, cols = pairs.flat % 5, pairs.flat // 5
         assert np.all(rows > cols)
         assert np.array_equal(pairs.sqdists, dense_sqdists(X)[:, rows, cols])
+
+    @settings(max_examples=50, deadline=None)
+    @given(X=st.tuples(st.integers(1, 20), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(float, shape,
+                             elements=st.floats(-1e150, 1e150))))
+    def test_property_pairs_match_two_takes(self, X):
+        """The per-dimension build holds bitwise the squared differences of
+        the whole-array formula, gathered with two ``np.take`` calls."""
+        n = len(X)
+        rows, cols = np.tril_indices(n, -1)
+        xt = np.ascontiguousarray(X.T)
+        diff = np.take(xt, rows, axis=1) - np.take(xt, cols, axis=1)
+        diff *= diff
+        pairs = _pairs(X)
+        assert pairs.sqdists.flags.c_contiguous
+        assert np.array_equal(pairs.sqdists, diff)
+        assert np.array_equal(pairs.flat, cols * n + rows)
+
+    def test_pairs_peak_memory(self):
+        """Building the pairs allocates no temporary as large as
+        ``sqdists``: the peak stays below 1.5 times what they hold (the
+        whole-array formula peaks at twice)."""
+        X = np.random.default_rng(0).uniform(0, 1, (400, 9))
+        tracemalloc.start()
+        try:
+            pairs = _pairs(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (pairs.sqdists.nbytes + pairs.flat.nbytes)
 
     def test_rows_match_single_points(self):
         h = make_hyper([0.5, 2.0], 1.2, 0.1)
@@ -521,10 +553,11 @@ class TestTraining:
         assert all(a != b for a, b in zip(seen, seen[1:]))
 
     def test_failed_evaluation_reads_worse_than_every_real_nlml(self):
-        # constant targets: the real NLMLs reach 1e31, above the old fixed
-        # sentinel of 1e25, before the starts reach covariances dpotrf
-        # rejects
-        X, y = np.zeros((10, 1)), np.full(10, 2.27324455)
+        # targets that differ only by rounding: their variance (8e-30) sets
+        # the signal-variance starts, so the real NLMLs reach 1e29, above the
+        # old fixed sentinel of 1e25, before the starts reach covariances
+        # dpotrf rejects
+        X, y = np.zeros((10, 1)), np.full(10, 2.27324455) + 1e-15 * np.arange(10)
         pairs = _pairs(X)
         starts = []
         minimize = gp.minimize
@@ -559,6 +592,21 @@ class TestTraining:
         assert huge_then_failed
         theta = model.hyper.as_array()
         assert model.final_nlml == _nlml_value_grad(theta, pairs, y)[0]
+
+    @pytest.mark.parametrize("c", [2.27324455, 1.0, -3e5, 1e-8])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_constant_targets_fit(self, c, distinct):
+        """Exactly equal targets have zero variance, whatever ``np.var``
+        rounds to: the jitter floor and the signal-variance starts follow
+        their mean square, and the fit ends in a model, not in the sentinel
+        region of a floor set by rounding noise."""
+        X = np.linspace(0, 1, 10)[:, None] if distinct else np.zeros((10, 1))
+        y = np.full(10, c)
+        model = train_gp(X, y)
+        assert model.hyper.jitter_var >= 1e-10 * c * c * (1 - 1e-12)
+        assert model.final_nlml < 1e25
+        theta = model.hyper.as_array()
+        assert model.final_nlml == _nlml_value_grad(theta, _pairs(X), y)[0]
 
     def test_warm_start_used(self):
         rng = np.random.default_rng(3)

@@ -7,10 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from anovagp import emulator, gp
+from anovagp import gp
 from anovagp.emulator import load_emulator, save_emulator, train_sgp
 from anovagp.exceptions import IllConditionedKernelError, TrainingFailedError
-from anovagp.gp import GpTrainConfig, start_pool, train_gp
+from anovagp.gp import GpTrainConfig, train_gp
 from anovagp.simulators import analytic_bank
 
 N = gp.POOL_ROWS + 16
@@ -49,57 +49,105 @@ def assert_same_block(a, b):
 
 
 def spy_pools(monkeypatch) -> list:
-    """Record what every ``start_pool`` the emulator opens yields."""
+    """Record the pool (or None) of every ``_start_pool`` that ``train_gp``
+    opens, with the child processes alive while it is open."""
     yielded = []
+    start_pool = gp._start_pool
 
     @contextlib.contextmanager
     def spy(*args):
-        with start_pool(*args) as pool:
-            yielded.append(pool)
-            yield pool
+        with start_pool(*args) as (pairs, pool):
+            yielded.append((pool, len(multiprocessing.active_children())))
+            yield pairs, pool
 
-    monkeypatch.setattr(emulator, "start_pool", spy)
+    monkeypatch.setattr(gp, "_start_pool", spy)
     return yielded
+
+
+def sequential(*args):
+    """``train_gp`` with every start run in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "_usable_cpus", lambda: 1)
+        return train_gp(*args)
 
 
 @poolable
 class TestPooledStarts:
     @pytest.mark.parametrize("jitter_floor", [None, 0.0])
-    def test_pooled_equals_sequential(self, jitter_floor):
+    def test_pooled_equals_sequential(self, monkeypatch, jitter_floor):
         X, y = data()
         cfg = GpTrainConfig(restarts=3, max_iter=25, seed=4,
                             jitter_floor=jitter_floor)
         with one_blas_thread():
-            sequential = train_gp(X, y, cfg)
-            with start_pool(X, cfg.n_starts) as pool:
-                assert pool is not None
-                assert len(multiprocessing.active_children()) == min(
-                    cfg.n_starts, gp._usable_cpus())
-                pooled = train_gp(X, y, cfg, pool)
-        assert_same_model(pooled, sequential)
+            expected = sequential(X, y, cfg)
+            pools = spy_pools(monkeypatch)
+            pooled = train_gp(X, y, cfg)
+        [(pool, children)] = pools
+        assert pool is not None
+        assert children == min(3, gp._usable_cpus())
+        assert_same_model(pooled, expected)
         assert multiprocessing.active_children() == []
 
-    def test_warm_start_pooled(self):
+    def test_warm_start_pooled(self, monkeypatch):
         X, y = data(seed=1)
         base = train_gp(X, y, FAST)
         cfg = GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper)
         with one_blas_thread():
-            sequential = train_gp(X, y, cfg)
-            with start_pool(X, cfg.n_starts) as pool:
-                pooled = train_gp(X, y, cfg, pool)
-        assert_same_model(pooled, sequential)
+            expected = sequential(X, y, cfg)
+            pools = spy_pools(monkeypatch)
+            pooled = train_gp(X, y, cfg)
+        assert [pool is not None for pool, _ in pools] == [True]
+        assert_same_model(pooled, expected)
 
-    def test_pool_on_other_rows_rejected(self):
+    def test_block_pooled_equals_sequential_and_per_row(self, monkeypatch):
+        """Rows with a warm-start row and a zero-jitter row, fitted in one
+        call through one pool, give the models of the same call run here
+        and of one call per row."""
+        X, y = data(seed=2)
+        base = train_gp(X, y, FAST)
+        rows = np.stack([y, np.cos(2 * X[:, 0]), X[:, 1] - X[:, 2]])
+        configs = [
+            GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper),
+            GpTrainConfig(restarts=3, max_iter=25, seed=5, jitter_floor=0.0),
+            FAST]
+        with one_blas_thread():
+            expected = sequential(X, rows, configs)
+            per_row = [train_gp(X, row, cfg) for row, cfg in zip(rows, configs)]
+            pools = spy_pools(monkeypatch)
+            pooled = train_gp(X, rows, configs)
+        assert [pool is not None for pool, _ in pools] == [True]
+        assert len(pooled) == len(expected) == 3
+        for model, seq, single in zip(pooled, expected, per_row):
+            assert_same_model(model, seq)
+            assert_same_model(model, single)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_row_names_its_mode(self, monkeypatch):
         X, y = data()
-        with start_pool(X, 2) as pool:
-            with pytest.raises(ValueError, match="other input rows"):
-                train_gp(X[::-1], y, FAST, pool)
+        rows = np.stack([y, 2 * y + 1, -y])
+        pools = spy_pools(monkeypatch)
+        nlml_value_grad = gp._nlml_value_grad
+
+        def fails_on_row_1(theta, pairs, targets):
+            if np.array_equal(targets, rows[1]):
+                raise IllConditionedKernelError("forced failure")
+            return nlml_value_grad(theta, pairs, targets)
+
+        # the forked workers inherit the patched kernel
+        monkeypatch.setattr(gp, "_nlml_value_grad", fails_on_row_1)
+        with pytest.raises(TrainingFailedError,
+                           match=r"^all 3 restarts failed .*: forced failure$"
+                           ) as err:
+            train_gp(X, rows, [FAST] * 3)
+        assert err.value.mode == 1
+        assert [pool is not None for pool, _ in pools] == [True]
+        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_train_sgp(self, monkeypatch):
         pools = spy_pools(monkeypatch)
         sim = analytic_bank("polynomial-mix", 4, 6)
         train_sgp(sim, N, seed=2, gp_config=FAST)
-        assert pools and all(pool is not None for pool in pools)
+        assert pools and all(pool is not None for pool, _ in pools)
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_failed_block(self, monkeypatch):
@@ -115,7 +163,7 @@ class TestPooledStarts:
                            match=r"term sgp, mode 0, .*all 3 restarts failed"
                                  r" .*: forced failure$"):
             train_sgp(sim, N, seed=2, gp_config=FAST)
-        assert pools and pools[0] is not None
+        assert pools and pools[0][0] is not None
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("force", ["cpus", "setters"])
@@ -131,17 +179,30 @@ class TestPooledStarts:
                 monkeypatch.setattr(gp, "_openblas_thread_controls",
                                     lambda: [])
             sequential = train_sgp(sim, N, seed=3, gp_config=FAST)
-        assert pools and all(pool is None for pool in pools)
+        assert pools and all(pool is None for pool, _ in pools)
         assert_same_block(pooled, sequential)
 
 
 def test_small_or_single_start_fits_stay_here():
     X, _ = data()
-    with start_pool(X[:gp.POOL_ROWS], 5) as pool:
+    with gp._start_pool(X[:gp.POOL_ROWS], 5) as (_, pool):
         assert pool is None
-    with start_pool(X, 1) as pool:
+    with gp._start_pool(X, 1) as (_, pool):
         assert pool is None
     assert multiprocessing.active_children() == []
+
+
+def test_one_start_and_empty_blocks_stay_here(monkeypatch):
+    """A block whose rows have one start each (``SCALED_CONFIG``'s S-GP)
+    and a rank-0 block fork nothing."""
+    X, y = data()
+    pools = spy_pools(monkeypatch)
+    one_start = GpTrainConfig(restarts=1, max_iter=25)
+    models = train_gp(X, np.stack([y, -y]), [one_start] * 2)
+    assert len(models) == 2
+    assert train_gp(X, np.empty((0, N)), []) == []
+    assert [pool for pool, _ in pools] == [None, None]
+    assert [children for _, children in pools] == [0, 0]
 
 
 def test_other_threads_keep_fits_here():
@@ -151,7 +212,7 @@ def test_other_threads_keep_fits_here():
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        with start_pool(X, 2) as pool:
+        with gp._start_pool(X, 2) as (_, pool):
             assert pool is None
     finally:
         done.set()

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 from anovagp import bench, cli, emulator, gp
+from anovagp.gp import GpTrainConfig
+from anovagp.simulators import analytic_bank
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,8 +33,9 @@ def test_tracer_installs_and_restores():
 def test_traced_run_reaches_every_counted_layer():
     """A traced run still reaches the names the tracer wraps: one
     ``term_value`` per active step, every simulator solve through a cache,
-    and at least one PCA fit and one small GP fit.  A refactor that keeps a
-    wrapped name imported but stops calling it fails here."""
+    at least one PCA fit and one small GP fit, and one GP fit span per PCA
+    fit (``train_gp`` fits a whole block).  A refactor that keeps a wrapped
+    name imported but stops calling it fails here."""
     from test_acceptance import CHEAP_CONFIG
 
     tracer = load_tracing().Tracer()
@@ -53,6 +56,23 @@ def test_traced_run_reaches_every_counted_layer():
                       + calls["sgp_training"])
     assert tracer.calls["pca.fit_pca"] > 0
     assert tracer.calls["gp.train_gp.small"] > 0
+    assert (tracer.calls["gp.train_gp.small"] + tracer.calls["gp.train_gp.large"]
+            == tracer.calls["pca.fit_pca"])
+
+
+def test_traced_large_block_is_one_fit_span():
+    """An S-GP block above ``POOL_ROWS`` rows, whose starts may run in
+    worker processes, is one large GP fit span, which times the workers and
+    the posteriors conditioned after them."""
+    sim = analytic_bank("polynomial-mix", 4, 6)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        block = emulator.train_sgp(
+            sim, gp.POOL_ROWS + 16, seed=2,
+            gp_config=GpTrainConfig(restarts=3, max_iter=25, seed=4))
+    assert block.rank >= 2
+    assert tracer.calls["gp.train_gp.large"] == 1
+    assert tracer.calls["gp.train_gp.small"] == 0
 
 
 def test_traced_screen_counts_every_embedded_row(tmp_path):
