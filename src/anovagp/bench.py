@@ -24,7 +24,7 @@ from .anova import SimCache, adaptive_decompose
 from .emulator import (AnovaGpEmulator, PcaGp, assemble, predict_sgp_mean,
                        save_emulator, train_local, train_sgp)
 from .exceptions import ConfigError
-from .gp import GpTrainConfig
+from .gp import GpTrainConfig, blas_thread_counts
 from .simulators import ANALYTIC_SIMULATORS, DiffusionSimulator, Simulator, \
     analytic_bank
 
@@ -186,6 +186,7 @@ class ExperimentReport:
     timings: dict
     config: dict
     undefined_errors: list = field(default_factory=list)
+    blas_threads: dict = field(default_factory=dict)   # library -> threads
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -205,9 +206,11 @@ def run_experiment(config: ExperimentConfig,
     """Full pipeline: decompose, train both emulators, score, report.
 
     Artifacts (errors.csv, report.json, emulator archives, a config echo)
-    are written to ``out_dir`` when given.
+    are written to ``out_dir`` when given.  The report records the OpenBLAS
+    thread counts the run started at, which byte-identical results rely on.
     """
     config.validate()
+    blas_threads = blas_thread_counts()
     sim = build_simulator(config.simulator)
     timings: dict[str, float] = {}
 
@@ -283,7 +286,8 @@ def run_experiment(config: ExperimentConfig,
         summaries={m: _five_number(v) for m, v in errors.items()},
         term_table=term_table, term_modes=term_modes,
         simulator_calls=sim_calls, timings=timings,
-        config=config.to_dict(), undefined_errors=undefined)
+        config=config.to_dict(), undefined_errors=undefined,
+        blas_threads=blas_threads)
 
     if out_dir is not None:
         write_artifacts(report, anova_em, sgp_em, Path(out_dir))

@@ -29,7 +29,7 @@ from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
 from .gp import GpModel, GpTrainConfig, Hyperparameters, cross_kernel, \
-    posterior, predict_batch, train_gp
+    numpy_blas_threads, posterior, predict_batch, train_gp
 from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
@@ -132,6 +132,8 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     largest variance indicator into the training set (evaluating the term
     through the shared simulator cache), until ``n_train`` points are reached;
     a final full refit closes the loop.  Deterministic for a fixed seed.
+    The loop runs numpy's OpenBLAS at one thread (``numpy_blas_threads``)
+    and restores its count on exit, whether it returns or raises.
     """
     t = tuple(t)
     if n_train < 1:
@@ -147,18 +149,22 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
 
     block = None
     refit = 0
-    while True:
-        block = _fit_block(t, inputs, values, gp_config, tol_pca, block,
-                           refit, t)
-        if block.rank == 0 or inputs.shape[0] >= n_train:
-            return block
-        pick = int(np.argmax(variance_indicator(block, pool)))
-        xi_star = pool[pick]
-        y_star = term_value(t, xi_star, c, cache)
-        inputs = np.vstack([inputs, xi_star])
-        values = np.vstack([values, y_star])
-        pool = np.delete(pool, pick, axis=0)
-        refit += 1
+    # numpy's BLAS at one thread: its second thread, woken by the PCA
+    # products, would spin through the small fits that follow.  Scipy's
+    # keeps its count; the results measured bitwise equal at either count.
+    with numpy_blas_threads(1):
+        while True:
+            block = _fit_block(t, inputs, values, gp_config, tol_pca, block,
+                               refit, t)
+            if block.rank == 0 or inputs.shape[0] >= n_train:
+                return block
+            pick = int(np.argmax(variance_indicator(block, pool)))
+            xi_star = pool[pick]
+            y_star = term_value(t, xi_star, c, cache)
+            inputs = np.vstack([inputs, xi_star])
+            values = np.vstack([values, y_star])
+            pool = np.delete(pool, pick, axis=0)
+            refit += 1
 
 
 @dataclass

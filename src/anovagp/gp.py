@@ -11,18 +11,22 @@ covariance is assembled from its strictly lower pairs (i > j) and handled by
 direct LAPACK calls that read only the lower triangle.  ``train_gp`` fits
 one target vector or a block of them over the same inputs; a block on more
 than ``POOL_ROWS`` rows can run its starts in forked worker processes.
+``numpy_blas_threads`` sets numpy's OpenBLAS thread count for a block of
+code, as local training does.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import multiprocessing
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +36,7 @@ from scipy.optimize import minimize
 from .exceptions import IllConditionedKernelError, TrainingFailedError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,29 @@ class Pairs(NamedTuple):
     n: int
 
 
+# building the pairs peaks at this multiple of what they hold (sqdists and
+# flat: M + 1 entries of 8 bytes per pair), measured at N=400, M=9
+_PAIRS_PEAK = 1.3
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 def _pairs(X: np.ndarray) -> Pairs:
+    """The pairs of the rows of X; ``TrainingFailedError`` before anything
+    is allocated when building them would need more than physical memory."""
     n, m = X.shape
+    needed = _PAIRS_PEAK * 8 * (m + 1) * (n * (n - 1) // 2)
+    if needed > (memory := _physical_memory()):
+        raise TrainingFailedError(
+            f"the pair distances of N={n} training rows in M={m} dimensions "
+            f"need {needed:.3g} bytes, more than the {memory:.3g} bytes of "
+            "physical memory")
     rows, cols = np.tril_indices(n, -1)
     # one dimension at a time, so that no temporary is as large as sqdists
     sqdists, other = np.empty((m, rows.size)), np.empty(rows.size)
@@ -202,7 +228,8 @@ class GpTrainConfig:
     """Settings for hyperparameter optimization.
 
     ``jitter_floor`` of None means 1e-10 times the target variance (their
-    mean square for constant targets, 1e-12 when that is 0); a floor of
+    mean square for targets whose variance is at most machine epsilon times
+    it, constant ones included; 1e-12 when that is 0); a floor of
     exactly 0 pins the jitter at zero and trains a noise-free
     (interpolating) model.  A ``warm_start`` is tried before the random
     restarts.
@@ -316,10 +343,12 @@ def _plan_starts(inputs: np.ndarray, targets: np.ndarray,
     """The L-BFGS-B starts of one target vector, their bounds (None for a
     zero jitter floor, whose jitter is not optimized) and the floor."""
     n, m = inputs.shape
-    # exactly equal targets have zero variance, whatever np.var rounds to;
+    # targets whose variance is lost in rounding against their mean square
+    # (mean^2 + variance), exactly equal ones included, count as constant:
     # their scale is their mean square instead
-    scale = float(np.var(targets) if np.ptp(targets) > 0
-                  else np.mean(targets ** 2))
+    scale = float(np.var(targets))
+    if scale <= _EPS * (mean_square := float(np.mean(targets ** 2))):
+        scale = mean_square
     floor = config.jitter_floor
     if floor is None:
         floor = 1e-10 * scale if scale > 0 else 1e-12
@@ -392,11 +421,11 @@ POOL_ROWS = 64
 _worker_pairs: Pairs | None = None   # set in each worker of a start pool
 
 
-def _init_worker(pairs: Pairs, controls: list[tuple]) -> None:
+def _init_worker(pairs: Pairs, controls: Sequence[_BlasLibrary]) -> None:
     global _worker_pairs
     _worker_pairs = pairs
-    for _, set_ in controls:   # before any BLAS call of this worker
-        set_(1)
+    for lib in controls:   # before any BLAS call of this worker
+        lib.set(1)
 
 
 def _pooled_start(*task):
@@ -410,43 +439,72 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS library loaded,
-    or [] when one of them has none (or the libraries cannot be listed)."""
+class _BlasLibrary(NamedTuple):
+    """One loaded OpenBLAS: its file and its thread-count functions."""
+
+    path: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[_BlasLibrary, ...]:
+    """Every OpenBLAS library loaded, or () when one of them has no
+    thread-count functions (or the libraries cannot be listed).
+
+    Looked up once per process: numpy and scipy load theirs on import,
+    before any call here.
+    """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower() and ".so" in line})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         lib = ctypes.CDLL(path)
         suffix = next((s for s in ("64_", "") if hasattr(
             lib, f"scipy_openblas_set_num_threads{s}")), None)
         if suffix is None:
-            return []
+            return ()
         get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
         get.argtypes, get.restype = [], ctypes.c_int
         set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        controls.append((get, set_))
-    return controls
+        controls.append(_BlasLibrary(path, get, set_))
+    return tuple(controls)
+
+
+def blas_thread_counts() -> dict[str, int]:
+    """The thread count of every loaded OpenBLAS, by library file name
+    ({} when ``_openblas_thread_controls`` finds none)."""
+    return {Path(lib.path).name: lib.get()
+            for lib in _openblas_thread_controls()}
 
 
 @contextlib.contextmanager
-def _blas_threads(count: int, controls: list[tuple]):
+def _blas_threads(count: int, controls: Sequence[_BlasLibrary]):
     """Run the block with the OpenBLAS libraries of ``controls`` (from
     ``_openblas_thread_controls``) at ``count`` threads, and restore their
     old counts on exit."""
-    old = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(count)
+    old = [lib.get() for lib in controls]
+    for lib in controls:
+        lib.set(count)
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, old):
-            set_(n)
+        for lib, n in zip(controls, old):
+            lib.set(n)
+
+
+def numpy_blas_threads(count: int):
+    """``_blas_threads`` over numpy's own OpenBLAS only, the one in its
+    ``numpy.libs`` folder; scipy's keeps its count.  Where numpy's library
+    cannot be told apart, the block runs at the counts it finds."""
+    return _blas_threads(count, [
+        lib for lib in _openblas_thread_controls()
+        if Path(lib.path).parent.name == "numpy.libs"])
 
 
 @contextlib.contextmanager

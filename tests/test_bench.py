@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anovagp import emulator
+from anovagp import emulator, gp
 from anovagp.anova import IndexSelection
 from anovagp.bench import (ExperimentConfig, build_simulator, derive_seed,
                            load_config, relative_error, run_experiment)
@@ -244,6 +244,16 @@ class TestRunExperiment:
         assert data["summaries"] == rep.summaries
         assert data["config"] == rep.config
 
+    def test_report_records_blas_threads(self, report):
+        """report.json holds the OpenBLAS thread count per library file
+        the run started at; the run leaves every count as it found it."""
+        rep, out = report
+        with open(out / "report.json") as fh:
+            recorded = json.load(fh)["blas_threads"]
+        assert recorded == rep.blas_threads == gp.blas_thread_counts()
+        assert all(name.endswith(".so") and count >= 1
+                   for name, count in recorded.items())
+
     def test_seed_reproducibility(self, report):
         rep, _ = report
         again = run_experiment(ExperimentConfig.from_dict(dict(CHEAP)))
@@ -361,6 +371,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "TrainingFailedError",
                        "message": expected + "all restarts failed"}
+
+    def test_memory_guard_exits_1(self, tmp_path, config_path, monkeypatch,
+                                  capsys):
+        """With physical memory set to 1 kB, the local fits (at most 8 rows
+        of one input) run and the S-GP's pairs (16 rows of two inputs) fail
+        before they are built: exit 1 naming the term, N, M and the
+        bytes."""
+        monkeypatch.setattr(gp, "_physical_memory", lambda: 1000.0)
+        assert main(["train", "--config", config_path,
+                     "--out", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "TrainingFailedError",
+            "message": "term sgp, mode None, train_sgp (N=16): the pair "
+                       "distances of N=16 training rows in M=2 dimensions "
+                       "need 3.74e+03 bytes, more than the 1e+03 bytes of "
+                       "physical memory"}
 
     def test_inspect_sgp_csv(self, report, capsys):
         _, out = report

@@ -14,7 +14,8 @@ from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
 from anovagp.emulator import (assemble, load_emulator, predict_sgp_mean,
                               save_emulator, train_local, train_sgp,
                               variance_indicator)
-from anovagp.exceptions import ConfigError, UndefinedIndicatorError
+from anovagp.exceptions import ConfigError, TrainingFailedError, \
+    UndefinedIndicatorError
 from anovagp.gp import GpTrainConfig, cross_kernel, predict
 from anovagp.pca import project, reconstruct
 from anovagp.simulators import Simulator, analytic_bank
@@ -280,6 +281,20 @@ class TestSgp:
             truth = sim.evaluate(xi)
             err = np.linalg.norm(pred - truth)
             assert err / np.linalg.norm(truth) < 1e-2
+
+    def test_memory_guard_names_sgp(self, monkeypatch):
+        """Pairs that need more than physical memory (here set to 1 kB)
+        fail the S-GP fit before they are built, naming the term."""
+        monkeypatch.setattr(gp, "_physical_memory", lambda: 1000.0)
+        sim = analytic_bank("additive", 2, 4)
+        with pytest.raises(TrainingFailedError,
+                           match=r"^term sgp, mode None, train_sgp \(N=15\): "
+                                 r"the pair distances of N=15 training rows "
+                                 r"in M=2 dimensions need 3\.28e\+03 bytes, "
+                                 r"more than the 1e\+03 bytes of physical "
+                                 r"memory$") as err:
+            train_sgp(sim, 15, seed=3, gp_config=FAST_GP)
+        assert err.value.term == "sgp"
 
     def test_constant_outputs(self):
         sim = ConstantSimulator(2, np.array([4.0, -2.0, 1.0]))

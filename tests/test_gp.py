@@ -108,6 +108,27 @@ class TestKernel:
         assert np.array_equal(pairs.sqdists, diff)
         assert np.array_equal(pairs.flat, cols * n + rows)
 
+    def test_pairs_need_more_than_physical_memory(self, monkeypatch):
+        """Pairs that would need more than physical memory raise before
+        anything is allocated: a million rows of three inputs need 2.1e13
+        bytes, and with the memory figure set low so does a small fit."""
+        rows = np.broadcast_to(0.0, (10 ** 6, 3))   # a view: nothing held
+        with pytest.raises(TrainingFailedError,
+                           match=r"^the pair distances of N=1000000 training "
+                                 r"rows in M=3 dimensions need 2\.08e\+13 "
+                                 r"bytes, more than the .* bytes of physical "
+                                 r"memory$"):
+            _pairs(rows)
+        X = np.random.default_rng(0).uniform(0, 1, (20, 2))
+        monkeypatch.setattr(gp, "_physical_memory", lambda: 5900.0)
+        with pytest.raises(TrainingFailedError,
+                           match=r"N=20 .* M=2 .* need 5\.93e\+03 bytes, "
+                                 r"more than the 5\.9e\+03 bytes") as err:
+            train_gp(X, np.sin(3 * X[:, 0]))
+        assert err.value.mode is None
+        monkeypatch.setattr(gp, "_physical_memory", lambda: 6000.0)
+        assert train_gp(X, np.sin(3 * X[:, 0])).n_train == 20
+
     def test_pairs_peak_memory(self):
         """Building the pairs allocates no temporary as large as
         ``sqdists``: the peak stays below 1.5 times what they hold (the
@@ -553,11 +574,16 @@ class TestTraining:
         assert all(a != b for a, b in zip(seen, seen[1:]))
 
     def test_failed_evaluation_reads_worse_than_every_real_nlml(self):
-        # targets that differ only by rounding: their variance (8e-30) sets
-        # the signal-variance starts, so the real NLMLs reach 1e29, above the
-        # old fixed sentinel of 1e25, before the starts reach covariances
-        # dpotrf rejects
+        # targets that differ only by rounding, fitted from a start at their
+        # variance (8e-30) with the floor that variance would set: the real
+        # NLMLs reach 1e29, above the old fixed sentinel of 1e25, before the
+        # start reaches covariances dpotrf rejects
         X, y = np.zeros((10, 1)), np.full(10, 2.27324455) + 1e-15 * np.arange(10)
+        var = float(np.var(y))
+        config = GpTrainConfig(
+            restarts=4, jitter_floor=1e-10 * var,
+            warm_start=Hyperparameters(np.zeros(1), np.log(var),
+                                       np.log(1e-10 * var)))
         pairs = _pairs(X)
         starts = []
         minimize = gp.minimize
@@ -578,7 +604,7 @@ class TestTraining:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "minimize", recording)
-            model = train_gp(X, y)
+            model = train_gp(X, y, config)
         assert len(starts) == 5
         huge_then_failed = 0
         for seen in starts:
@@ -596,17 +622,21 @@ class TestTraining:
     @pytest.mark.parametrize("c", [2.27324455, 1.0, -3e5, 1e-8])
     @pytest.mark.parametrize("distinct", [False, True])
     def test_constant_targets_fit(self, c, distinct):
-        """Exactly equal targets have zero variance, whatever ``np.var``
-        rounds to: the jitter floor and the signal-variance starts follow
-        their mean square, and the fit ends in a model, not in the sentinel
-        region of a floor set by rounding noise."""
+        """Targets whose variance is lost in rounding against their mean
+        square count as constant, exactly equal ones (zero variance, whatever
+        ``np.var`` rounds to) included: the jitter floor and the
+        signal-variance starts follow their mean square, and the fit ends in
+        a model, not in the sentinel region of a floor set by rounding
+        noise.  The targets step by 0 and by 1e-16, 1e-15 and 1e-10 of c."""
         X = np.linspace(0, 1, 10)[:, None] if distinct else np.zeros((10, 1))
-        y = np.full(10, c)
-        model = train_gp(X, y)
-        assert model.hyper.jitter_var >= 1e-10 * c * c * (1 - 1e-12)
-        assert model.final_nlml < 1e25
-        theta = model.hyper.as_array()
-        assert model.final_nlml == _nlml_value_grad(theta, _pairs(X), y)[0]
+        for step in (0.0, 1e-16, 1e-15, 1e-10):
+            y = np.full(10, c) + step * abs(c) * np.arange(10)
+            model = train_gp(X, y)
+            assert (model.hyper.jitter_var
+                    >= 1e-10 * np.mean(y * y) * (1 - 1e-12))
+            assert model.final_nlml < 1e25
+            theta = model.hyper.as_array()
+            assert model.final_nlml == _nlml_value_grad(theta, _pairs(X), y)[0]
 
     def test_warm_start_used(self):
         rng = np.random.default_rng(3)

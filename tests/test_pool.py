@@ -1,14 +1,18 @@
-"""Tests for the worker processes that run the starts of large GP fits."""
+"""Tests for OpenBLAS thread counts: the worker processes that run the
+starts of large GP fits, and local training at one numpy BLAS thread."""
 
 import contextlib
 import multiprocessing
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anovagp import gp
-from anovagp.emulator import load_emulator, save_emulator, train_sgp
+from anovagp import emulator, gp
+from anovagp.anova import SimCache, term_mean
+from anovagp.emulator import load_emulator, save_emulator, train_local, \
+    train_sgp
 from anovagp.exceptions import IllConditionedKernelError, TrainingFailedError
 from anovagp.gp import GpTrainConfig, train_gp
 from anovagp.simulators import analytic_bank
@@ -222,10 +226,11 @@ def test_other_threads_keep_fits_here():
 
 def test_blas_threads_restored():
     controls = gp._openblas_thread_controls()
-    before = [get() for get, _ in controls]
+    assert gp._openblas_thread_controls() is controls   # looked up once
+    before = [lib.get() for lib in controls]
     with gp._blas_threads(1, controls):
-        assert all(get() == 1 for get, _ in controls)
-    assert [get() for get, _ in controls] == before
+        assert all(lib.get() == 1 for lib in controls)
+    assert [lib.get() for lib in controls] == before
 
 
 def test_loaded_sgp_predicts_like_trained_at_n200(tmp_path):
@@ -241,3 +246,108 @@ def test_loaded_sgp_predicts_like_trained_at_n200(tmp_path):
     assert_same_block(block, loaded)
     xs = sim.uniform_sample(np.random.default_rng(6), 50)
     assert np.array_equal(block.predict_mean(xs), loaded.predict_mean(xs))
+
+
+def numpy_and_scipy_blas():
+    """The file names of numpy's and of scipy's OpenBLAS, as
+    ``gp.blas_thread_counts`` keys them."""
+    names = {Path(lib.path).parent.name: Path(lib.path).name
+             for lib in gp._openblas_thread_controls()}
+    return names.get("numpy.libs"), names.get("scipy.libs")
+
+
+NUMPY_BLAS, SCIPY_BLAS = numpy_and_scipy_blas()
+
+two_blas = pytest.mark.skipif(
+    NUMPY_BLAS is None or SCIPY_BLAS is None,
+    reason="needs numpy's and scipy's own OpenBLAS with thread-count "
+           "functions")
+
+
+def spy_counts(monkeypatch, name, fail_on=None,
+               counts=gp.blas_thread_counts):
+    """Record the thread ``counts`` of every call to the ``emulator`` module
+    function ``name``, on entry and after it returns; call ``fail_on``
+    raises ``TrainingFailedError`` instead."""
+    seen = []
+    original = getattr(emulator, name)
+
+    def spy(*args):
+        entry = counts()
+        if len(seen) == fail_on:
+            raise TrainingFailedError("forced failure")
+        result = original(*args)
+        seen.append((entry, counts()))
+        return result
+
+    monkeypatch.setattr(emulator, name, spy)
+    return seen
+
+
+def local_block(n_train=29, gp_config=FAST):
+    """Term (1, 2) of a 3-input simulator: 25 grid points, then active
+    steps up to ``n_train``."""
+    sim = analytic_bank("polynomial-mix", 3, 5)
+    c = sim.anchor_point()
+    cache = SimCache(sim)
+    _, dataset = term_mean((1, 2), sim, c, cache)
+    return train_local((1, 2), dataset, n_train, sim, c, cache,
+                       pool_size=n_train + 30, seed=1, gp_config=gp_config)
+
+
+@two_blas
+class TestLocalTrainingThreads:
+    def test_numpy_at_one_thread_scipy_kept(self, monkeypatch):
+        before = gp.blas_thread_counts()
+        pcas = spy_counts(monkeypatch, "fit_pca")
+        fits = spy_counts(monkeypatch, "train_gp")
+        local_block()
+        assert len(pcas) == len(fits) == 29 - 25 + 1
+        for entry, _ in pcas + fits:
+            assert entry == {**before, NUMPY_BLAS: 1}
+        assert gp.blas_thread_counts() == before
+
+    def test_counts_restored_after_failure(self, monkeypatch):
+        before = gp.blas_thread_counts()
+        fits = spy_counts(monkeypatch, "train_gp", fail_on=2)
+        with pytest.raises(TrainingFailedError,
+                           match=r"term \(1, 2\), mode None, train_local "
+                                 r"refit 2 .*forced failure"):
+            local_block()
+        assert len(fits) == 2
+        assert gp.blas_thread_counts() == before
+
+    def test_same_block_without_thread_controls(self, monkeypatch):
+        """With no thread controls found, training runs at the counts it
+        finds and gives bitwise the same block."""
+        before = gp.blas_thread_counts()
+        scoped = local_block()
+        controls = gp._openblas_thread_controls()
+        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: [])
+        fits = spy_counts(monkeypatch, "train_gp", counts=lambda: {
+            Path(lib.path).name: lib.get() for lib in controls})
+        unscoped = local_block()
+        assert fits and all(entry == before for entry, _ in fits)
+        assert np.array_equal(scoped.train_inputs, unscoped.train_inputs)
+        assert np.array_equal(scoped.train_values, unscoped.train_values)
+        for field in ("mean", "components", "eigenvalues", "total_variance"):
+            assert np.array_equal(getattr(scoped.pca, field),
+                                  getattr(unscoped.pca, field))
+        assert_same_block(scoped, unscoped)
+
+    @poolable
+    def test_pooled_block_restores_the_scope(self, monkeypatch):
+        """Refits on more than ``POOL_ROWS`` rows fork workers inside the
+        scope; each returns to numpy at one thread and scipy at its count,
+        and no worker outlives it."""
+        before = gp.blas_thread_counts()
+        pools = spy_pools(monkeypatch)
+        fits = spy_counts(monkeypatch, "train_gp")
+        n_train = gp.POOL_ROWS + 2
+        block = local_block(n_train, GpTrainConfig(restarts=2, max_iter=10))
+        assert block.train_inputs.shape[0] == n_train
+        assert [pool is not None for pool, _ in pools][-2:] == [True, True]
+        for _, after in fits:
+            assert after == {**before, NUMPY_BLAS: 1}
+        assert gp.blas_thread_counts() == before
+        assert multiprocessing.active_children() == []
