@@ -7,9 +7,8 @@ from .bench import (ExperimentConfig, ExperimentReport, load_config,
 from .emulator import (AnovaGpEmulator, PcaGp, assemble, load_emulator,
                        predict_sgp_mean, save_emulator, train_local,
                        train_sgp, variance_indicator)
-from .gp import (GpModel, GpTrainConfig, Hyperparameters, nlml, nlml_gradient,
-                 predict, train_gp)
-from .pca import PcaModel, fit_pca, project, reconstruct
+from .gp import GpModel, GpTrainConfig, Hyperparameters, predict, train_gp
+from .pca import PcaModel, fit_pca
 from .quadrature import (QuadratureRule1D, TensorQuadrature, cc_nodes,
                          cc_rule, cc_weights, map_rule, tensor_grid,
                          weighted_mean)

@@ -28,8 +28,8 @@ import numpy as np
 from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
-from .gp import GpModel, GpTrainConfig, Hyperparameters, cross_kernel, \
-    numpy_blas_threads, posterior, predict_batch, train_gp
+from .gp import GpModel, GpTrainConfig, Hyperparameters, _pairs, \
+    cross_kernel, numpy_blas_threads, posterior, predict_batch, train_gp
 from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
@@ -246,10 +246,12 @@ def _load_block(data, prefix: str, coords: AnovaIndex) -> PcaGp:
                          components=data[prefix + "components"],
                          eigenvalues=data[prefix + "eigenvalues"],
                          total_variance=float(data[prefix + "total_variance"]))
-    inputs = data[prefix + "inputs"]
-    mode_gps = [posterior(inputs, targets, Hyperparameters.from_array(loghyp))
-                for targets, loghyp in zip(data[prefix + "targets"],
-                                           data[prefix + "loghyp"])]
+    inputs, rows = data[prefix + "inputs"], data[prefix + "targets"]
+    # one set of pairs conditions every mode; a rank-0 block needs none
+    pairs = _pairs(inputs) if len(rows) else None
+    mode_gps = [posterior(pairs, inputs, targets,
+                          Hyperparameters.from_array(loghyp))
+                for targets, loghyp in zip(rows, data[prefix + "loghyp"])]
     return PcaGp(coords=coords, pca=pca_model, mode_gps=mode_gps,
                  train_inputs=inputs, train_values=data[prefix + "values"])
 
@@ -291,7 +293,13 @@ def load_emulator(path: str):
         if "meta" not in data.files:
             raise ConfigError(f"{path} is an npz archive without the 'meta' "
                               "member of an emulator archive")
-        meta = json.loads(str(data["meta"]))
+        try:
+            meta = json.loads(str(data["meta"]))
+        except json.JSONDecodeError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path} is an npz archive whose 'meta' "
+                              "member is not a JSON object")
         version = meta.get("schema_version")
         if version != ARCHIVE_SCHEMA_VERSION:
             raise ConfigError(
@@ -300,11 +308,18 @@ def load_emulator(path: str):
         kind = meta.get("kind")
         if kind not in ("anova-gp", "sgp"):
             raise ConfigError(f"unknown archive kind {kind!r}")
-        blocks = [_load_block(data, f"b{i}_", tuple(coords))
-                  for i, coords in enumerate(meta["blocks"])]
-        if kind == "sgp":
-            return blocks[0]
-        return AnovaGpEmulator(
-            anchor_output=data["anchor_output"], anchor=data["anchor"],
-            locals={b.coords: b for b in blocks},
-            selection=IndexSelection.from_dict(meta["selection"]))
+        if "blocks" not in meta:
+            raise ConfigError(f"{path} is an emulator archive whose meta "
+                              "lists no 'blocks'")
+        try:
+            blocks = [_load_block(data, f"b{i}_", tuple(coords))
+                      for i, coords in enumerate(meta["blocks"])]
+            if kind == "sgp":
+                return blocks[0]
+            return AnovaGpEmulator(
+                anchor_output=data["anchor_output"], anchor=data["anchor"],
+                locals={b.coords: b for b in blocks},
+                selection=IndexSelection.from_dict(meta["selection"]))
+        except KeyError as err:   # a member or meta key the archive lacks
+            raise ConfigError(f"{path} is an incomplete emulator archive: "
+                              f"{err.args[0]}") from None

@@ -20,7 +20,8 @@ class TrainingFailedError(AnovaGpError):
     ``term`` (an ANOVA index, or "sgp" for the baseline), ``mode`` (the PCA
     mode) and ``stage`` (the pipeline stage and refit).  From ``train_gp``
     called directly, ``term`` and ``stage`` are None, and ``mode`` is the
-    failed row when it fits rows of targets (None for one vector).
+    failed row of targets (None when the block's pair distances would not
+    fit in memory).
     """
 
     def __init__(self, message, term=None, mode=None, stage=None):

@@ -9,8 +9,10 @@ training minimizes the negative log marginal likelihood with L-BFGS-B from
 randomized scale-aware starts and keeps the best restart.  The training
 covariance is assembled from its strictly lower pairs (i > j) and handled by
 direct LAPACK calls that read only the lower triangle.  ``train_gp`` fits
-one target vector or a block of them over the same inputs; a block on more
-than ``POOL_ROWS`` rows can run its starts in forked worker processes.
+rows of targets over the same inputs, one model per row, and builds their
+pairs once; ``posterior`` conditions a model on given pairs and
+hyperparameters.  A block on more than ``POOL_ROWS`` rows can run its starts
+in forked worker processes.
 ``numpy_blas_threads`` sets numpy's OpenBLAS thread count for a block of
 code, as local training does.
 """
@@ -165,12 +167,6 @@ def cross_kernel(X: np.ndarray, x: np.ndarray, hyper: Hyperparameters) -> np.nda
     return hyper.signal_var * np.exp(-0.5 * q)
 
 
-def nlml(hyper: Hyperparameters, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Negative log marginal likelihood of the targets under the kernel."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    return posterior(inputs, np.asarray(targets, dtype=float), hyper).final_nlml
-
-
 def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
                      targets: np.ndarray) -> tuple[float, np.ndarray]:
     """NLML and its gradient over the free log-hyperparameters.
@@ -209,20 +205,6 @@ def _nlml_value_grad(theta: np.ndarray, pairs: Pairs,
     return value, grad
 
 
-def nlml_gradient(hyper: Hyperparameters, inputs: np.ndarray,
-                  targets: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the NLML over [log l_1..M, log rho1^2, log rho2^2].
-
-    With zero jitter the last component is reported as 0.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    theta = hyper.as_array()
-    zero_jitter = np.isneginf(hyper.log_jitter_var)
-    _, grad = _nlml_value_grad(theta[:-1] if zero_jitter else theta,
-                               _pairs(inputs), np.asarray(targets, dtype=float))
-    return np.append(grad, 0.0) if zero_jitter else grad
-
-
 @dataclass
 class GpTrainConfig:
     """Settings for hyperparameter optimization.
@@ -253,20 +235,15 @@ class GpModel:
     weights: np.ndarray         # C^{-1} targets
     final_nlml: float
 
-    @property
-    def n_train(self) -> int:
-        return self.targets.size
 
-
-def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
-              pairs: Pairs | None = None) -> GpModel:
-    """The GP conditioned on its training data under fixed hyperparameters.
+def posterior(pairs: Pairs, inputs: np.ndarray, targets: np.ndarray,
+              hyper: Hyperparameters) -> GpModel:
+    """The GP conditioned on its training data under fixed hyperparameters;
+    ``pairs`` are the pairs of ``inputs`` (``_pairs``).
 
     Depends only on (inputs, targets, hyper): a model rebuilt from stored
     hyperparameters predicts bitwise like the trained one.
     """
-    if pairs is None:
-        pairs = _pairs(inputs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _, low, w, value = _condition(pairs, hyper.sq_lengths,
                                       hyper.signal_var, hyper.jitter_var,
@@ -276,12 +253,11 @@ def posterior(inputs: np.ndarray, targets: np.ndarray, hyper: Hyperparameters,
 
 
 def train_gp(inputs: np.ndarray, targets: np.ndarray,
-             config: GpTrainConfig | Sequence[GpTrainConfig] | None = None
-             ) -> GpModel | list[GpModel]:
+             configs: Sequence[GpTrainConfig]) -> list[GpModel]:
     """Fit hyperparameters by restarted NLML minimization.
 
-    ``targets`` is one vector (N,) with one ``config`` (one model returned)
-    or rows (R, N) with R configs (R models over the same inputs).
+    ``targets`` holds rows (R, N) with one config per row, and R models
+    over the same inputs come back; R = 0 builds no pairs (``_pairs``).
     Initialization is scale-aware: log squared lengths are drawn uniformly
     in [log(0.01 s_i^2), log(10 s_i^2)] with s_i the input span in dimension
     i, and the signal variance starts around the target variance.  Every
@@ -295,24 +271,25 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     starts all fail raises ``TrainingFailedError`` with ``mode`` that row.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    single = targets.ndim == 1
-    rows = targets[None] if single else targets
-    configs = [config or GpTrainConfig()] if single else list(config)
+    rows = np.asarray(targets, dtype=float)
+    configs = list(configs)
     n, m = inputs.shape
     if rows.ndim != 2 or rows.shape[1] != n or len(configs) != len(rows):
-        raise ValueError("targets must be a vector or rows with one entry per "
+        raise ValueError("targets must be rows (R, N) with one entry per "
                          "input row, and one config per row")
     if n < 1:
         raise ValueError("training requires at least one point")
 
-    plans = [_plan_starts(inputs, y, cfg, None if single else r)
+    plans = [_plan_starts(inputs, y, cfg, r)
              for r, (y, cfg) in enumerate(zip(rows, configs))]
     tasks = [(theta0, y, bounds, cfg.max_iter)
              for (inits, bounds, _), y, cfg in zip(plans, rows, configs)
              for theta0 in inits]
-    n_starts = max((len(inits) for inits, _, _ in plans), default=0)
-    with _start_pool(inputs, n_starts) as (pairs, pool):
+    if not tasks:
+        return []
+    pairs = _pairs(inputs)
+    n_starts = max(len(inits) for inits, _, _ in plans)
+    with _start_pool(pairs, n_starts) as pool:
         if pool is None:
             results = [_run_start(pairs, *task) for task in tasks]
         else:
@@ -327,18 +304,17 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
             reasons = dict.fromkeys(reason for _, _, reason in row)
             raise TrainingFailedError(
                 f"all {len(inits)} restarts failed (N={n}, M={m}, "
-                f"jitter_floor={floor}): " + "; ".join(reasons),
-                mode=None if single else r)
+                f"jitter_floor={floor}): " + "; ".join(reasons), mode=r)
         best_theta = min(fits, key=lambda fit: fit[0])[1]
         if bounds is None:   # the pinned zero jitter
             best_theta = np.append(best_theta, -np.inf)
-        models.append(posterior(inputs, y, Hyperparameters.from_array(
-            best_theta), pairs))
-    return models[0] if single else models
+        models.append(posterior(pairs, inputs, y,
+                                Hyperparameters.from_array(best_theta)))
+    return models
 
 
 def _plan_starts(inputs: np.ndarray, targets: np.ndarray,
-                 config: GpTrainConfig, mode: int | None
+                 config: GpTrainConfig, mode: int
                  ) -> tuple[list[np.ndarray], list | None, float]:
     """The L-BFGS-B starts of one target vector, their bounds (None for a
     zero jitter floor, whose jitter is not optimized) and the floor."""
@@ -508,9 +484,9 @@ def numpy_blas_threads(count: int):
 
 
 @contextlib.contextmanager
-def _start_pool(inputs: np.ndarray, n_starts: int):
-    """Yields the pairs of ``inputs`` and a pool of min(n_starts, usable
-    CPUs) workers that inherited them, or None for the pool.
+def _start_pool(pairs: Pairs, n_starts: int):
+    """Yields a pool of min(n_starts, usable CPUs) workers that inherited
+    ``pairs``, or None.
 
     The pool exists when the rows number more than ``POOL_ROWS``, some fit
     has two or more starts, two or more CPUs are usable, the platform
@@ -523,19 +499,18 @@ def _start_pool(inputs: np.ndarray, n_starts: int):
     workers shut down.  (It forks at those counts: forked at one thread,
     its first call after the restore often waited about 0.1 s.)
     """
-    pairs = _pairs(inputs)
     workers = min(n_starts, _usable_cpus())
-    if (len(inputs) <= POOL_ROWS or workers < 2
+    if (pairs.n <= POOL_ROWS or workers < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1
             or not (controls := _openblas_thread_controls())):
-        yield pairs, None
+        yield None
         return
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_init_worker, initargs=(pairs, controls))
     try:
         with _blas_threads(1, controls):
-            yield pairs, pool
+            yield pool
     finally:
         pool.terminate()
         pool.join()

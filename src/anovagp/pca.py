@@ -92,18 +92,3 @@ def fit_pca(dataset: np.ndarray, tol_pca: float) -> tuple[PcaModel, np.ndarray]:
     targets = components.T @ centered.T
     return model, targets
 
-
-def project(model: PcaModel, y: np.ndarray) -> np.ndarray:
-    """Principal coefficients of a d-vector: V^T (y - mean)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != model.mean.shape:
-        raise ValueError(f"expected shape {model.mean.shape}, got {y.shape}")
-    return model.components.T @ (y - model.mean)
-
-
-def reconstruct(model: PcaModel, alpha: np.ndarray) -> np.ndarray:
-    """Output-space vector for a coefficient vector: V alpha + mean."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.shape != (model.rank,):
-        raise ValueError(f"expected {model.rank} coefficients, got {alpha.shape}")
-    return model.components @ alpha + model.mean

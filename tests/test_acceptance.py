@@ -22,9 +22,9 @@ from anovagp.anova import SimCache, adaptive_decompose, term_mean, term_value
 from anovagp.bench import ExperimentConfig, run_experiment
 from anovagp.emulator import (load_emulator, predict_sgp_mean, save_emulator,
                               train_local, train_sgp, variance_indicator)
-from anovagp.gp import (GpTrainConfig, Hyperparameters, nlml, nlml_gradient,
-                        predict, train_gp)
-from anovagp.pca import fit_pca, project, reconstruct
+from anovagp.gp import (GpTrainConfig, Hyperparameters, _nlml_value_grad,
+                        _pairs, posterior, predict, train_gp)
+from anovagp.pca import fit_pca
 from anovagp.quadrature import cc_nodes, cc_rule, cc_weights, map_rule, \
     tensor_grid, weighted_mean
 from anovagp.simulators import DiffusionSimulator, analytic_bank
@@ -159,25 +159,24 @@ def test_criterion_4_gp_correctness():
         theta = np.concatenate([rng.uniform(-1.5, 1.5, m),
                                 rng.uniform(-1, 1, 1),
                                 rng.uniform(-6, -2, 1)])
-        h = Hyperparameters(theta[:m], float(theta[m]), float(theta[m + 1]))
-        grad = nlml_gradient(h, X, y)
+        pairs = _pairs(X)
+        _, grad = _nlml_value_grad(theta, pairs, y)
         eps = 1e-6
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += eps
             tm[i] -= eps
-            fd = (nlml(Hyperparameters(tp[:m], float(tp[m]),
-                                       float(tp[m + 1])), X, y)
-                  - nlml(Hyperparameters(tm[:m], float(tm[m]),
-                                         float(tm[m + 1])), X, y)) / (2 * eps)
+            fp, fm = (posterior(pairs, X, y, Hyperparameters.from_array(t))
+                      .final_nlml for t in (tp, tm))
+            fd = (fp - fm) / (2 * eps)
             ok &= abs(grad[i] - fd) <= 1e-5 * max(abs(fd), 1.0)
     # zero-jitter interpolation
     for seed in range(3):
         gen = np.random.default_rng(seed)
         X = np.sort(gen.uniform(0, 1, 10))[:, None]
         y = np.sin(3 * X[:, 0]) + 0.5 * X[:, 0]
-        model = train_gp(X, y, GpTrainConfig(restarts=3, jitter_floor=0.0,
-                                             seed=seed))
+        [model] = train_gp(X, y[None], [GpTrainConfig(
+            restarts=3, jitter_floor=0.0, seed=seed)])
         for x, t in zip(X, y):
             ok &= abs(predict(model, x)[0] - t) < 1e-6
     ok &= time.perf_counter() - tic < 30.0
@@ -191,12 +190,12 @@ def test_criterion_5_pca_identities():
     for d, n in [(50, 10), (30, 20), (8, 15), (12, 6)]:
         data = rng.standard_normal((n, d)) * np.linspace(3, 0.1, d)
         for tol in (0.3, 1e-2):
-            model, _ = fit_pca(data, tol)
+            model, targets = fit_pca(data, tol)
             # retained variance fraction
             ok &= model.eigenvalues.sum() / model.total_variance > 1 - tol
             # mean reconstruction error equals the discarded eigenvalue sum
-            errs = [np.linalg.norm(
-                reconstruct(model, project(model, y)) - y) ** 2 for y in data]
+            recon = model.components @ targets + model.mean[:, None]
+            errs = np.sum((recon - data.T) ** 2, axis=0)
             centered = data - data.mean(axis=0)
             vals = np.linalg.eigvalsh(centered.T @ centered / n)[::-1]
             discarded = vals[model.rank:].sum()

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness, config handling and the CLI."""
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -28,6 +29,29 @@ CHEAP = {
     "sgp_gp_restarts": 1,
     "sgp_gp_max_iter": 50,
     "seed": 0,
+}
+
+
+def npz_bytes(meta: str) -> bytes:
+    """An npz archive whose only member is ``meta``, as bytes."""
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.array(meta))
+    return buf.getvalue()
+
+
+_ARCHIVE_META = {"schema_version": 2, "kind": "sgp"}
+
+# broken emulator archives and the end of the message each is reported with
+BROKEN_ARCHIVES = {
+    "meta-not-json": (npz_bytes("{not json"),
+                      "is an npz archive whose 'meta' member is not a JSON "
+                      "object"),
+    "meta-without-blocks": (npz_bytes(json.dumps(_ARCHIVE_META)),
+                            "is an emulator archive whose meta lists no "
+                            "'blocks'"),
+    "meta-only": (npz_bytes(json.dumps({**_ARCHIVE_META, "blocks": [[1]]})),
+                  "is an incomplete emulator archive: b0_mean is not a file "
+                  "in the archive"),
 }
 
 
@@ -458,14 +482,18 @@ class TestCli:
             load_config(str(path))
 
     @pytest.mark.parametrize("content", [b"not an archive\n", b"",
-                                         b"PK\x03\x04truncated"])
+                                         b"PK\x03\x04truncated"] + [
+        pytest.param(content, id=name)
+        for name, (content, _) in BROKEN_ARCHIVES.items()])
     def test_inspect_non_archive_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "emulator.npz"
         path.write_bytes(content)
         assert main(["inspect", "--emulator", str(path)]) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert json.loads(line) == {"error": "config", "message":
-                                    f"{path} is not an npz archive"}
+        message = dict(BROKEN_ARCHIVES.values()).get(
+            content, "is not an npz archive")
+        assert json.loads(line) == {"error": "config",
+                                    "message": f"{path} {message}"}
 
     def test_bad_predict_payload(self, tmp_path, config_path, capsys):
         out = tmp_path / "run"

@@ -17,7 +17,6 @@ from anovagp.emulator import (assemble, load_emulator, predict_sgp_mean,
 from anovagp.exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
 from anovagp.gp import GpTrainConfig, cross_kernel, predict
-from anovagp.pca import project, reconstruct
 from anovagp.simulators import Simulator, analytic_bank
 
 FAST_GP = GpTrainConfig(restarts=2, max_iter=60)
@@ -189,8 +188,10 @@ class TestPredictLocal:
         local, _, _ = make_local(sim, (1,), n_train=10)
         scale = np.max(np.abs(local.train_values)) + 1e-30
         preds = local.predict_mean(local.train_inputs)
-        for pred, v in zip(preds, local.train_values):
-            target = reconstruct(local.pca, project(local.pca, v))
+        # the modes' targets are the rows fit_pca returned for these values
+        targets = np.array([g.targets for g in local.mode_gps])
+        recon = local.pca.components @ targets + local.pca.mean[:, None]
+        for pred, target in zip(preds, recon.T):
             assert np.max(np.abs(pred - target)) < 1e-3 * scale
 
     def test_term_accuracy_off_grid(self):
@@ -376,6 +377,38 @@ class TestSerialization:
                 load_emulator(str(path))
         with pytest.raises(ConfigError, match="without the 'meta' member"):
             load_emulator(str(foreign))
+        # archives that a CLI command would otherwise end in a traceback on
+        version = {"schema_version": 2, "kind": "sgp"}
+        for meta, match in (
+                ("{not json", "whose 'meta' member is not a JSON object$"),
+                ("[2]", "whose 'meta' member is not a JSON object$"),
+                (json.dumps(version), "whose meta lists no 'blocks'$"),
+                (json.dumps({**version, "blocks": [[1, 2]]}),
+                 "is an incomplete emulator archive: b0_mean is not a file "
+                 "in the archive$")):
+            np.savez(foreign, meta=np.array(meta))
+            with pytest.raises(ConfigError, match=match):
+                load_emulator(str(foreign))
+
+    def test_load_builds_pairs_once_per_block(self, tmp_path, monkeypatch):
+        """Every mode of a loaded block is conditioned on one set of pairs,
+        built once per block that has modes (the S-GP here has two)."""
+        built = spy_on(monkeypatch, "_pairs")
+        ranks = []
+        for emu in trained_pair("polynomial-mix"):   # ANOVA-GP, then S-GP
+            path = tmp_path / "emu.npz"
+            save_emulator(emu, str(path))
+            built.clear()
+            loaded = load_emulator(str(path))
+            blocks = (list(loaded.locals.values())
+                      if hasattr(loaded, "locals") else [loaded])
+            for block in blocks:
+                calls = [args for args, _ in built
+                         if args[0] is block.train_inputs]
+                assert len(calls) == (block.rank > 0)
+            assert len(built) == sum(block.rank > 0 for block in blocks)
+            ranks += [block.rank for block in blocks]
+        assert max(ranks) >= 2
 
     def test_batched_roundtrip_bitwise(self, tmp_path):
         xs = np.random.default_rng(12).uniform(0, 1, (25, 3))
@@ -421,7 +454,7 @@ def _gamma(k):
 
 
 def reference_and_bound(block, xs):
-    """Per-row reference means from ``gp.predict`` and ``pca.reconstruct``,
+    """Per-row reference means from ``gp.predict`` and V alpha + mu,
     and a first-order bound on how far any other float64 evaluation of the
     same formulas may lie from them.
 
@@ -445,7 +478,7 @@ def reference_and_bound(block, xs):
             terms = np.abs(c_star * g.weights)
             mode_bound[r] = terms @ (2 * _gamma(n_train) + 2 * _gamma(
                 m * q / 2 + 9))
-        refs.append(reconstruct(block.pca, alpha))
+        refs.append(block.pca.components @ alpha + block.pca.mean)
         bounds.append(comps @ mode_bound + 2 * _gamma(block.rank + 2) * (
             comps @ np.abs(alpha) + np.abs(block.pca.mean)))
     return np.array(refs), np.array(bounds)

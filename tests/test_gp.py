@@ -13,8 +13,8 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from anovagp import gp
 from anovagp.exceptions import IllConditionedKernelError, TrainingFailedError
 from anovagp.gp import (GpModel, GpTrainConfig, Hyperparameters, _pairs,
-                        _nlml_value_grad, cross_kernel, nlml, nlml_gradient,
-                        posterior, predict, predict_batch, train_gp)
+                        _nlml_value_grad, cross_kernel, posterior, predict,
+                        predict_batch, train_gp)
 
 
 def make_hyper(sq_lengths, signal_var, jitter_var):
@@ -124,10 +124,23 @@ class TestKernel:
         with pytest.raises(TrainingFailedError,
                            match=r"N=20 .* M=2 .* need 5\.93e\+03 bytes, "
                                  r"more than the 5\.9e\+03 bytes") as err:
-            train_gp(X, np.sin(3 * X[:, 0]))
+            train_gp(X, np.sin(3 * X[:, 0])[None], [GpTrainConfig()])
         assert err.value.mode is None
         monkeypatch.setattr(gp, "_physical_memory", lambda: 6000.0)
-        assert train_gp(X, np.sin(3 * X[:, 0])).n_train == 20
+        [model] = train_gp(X, np.sin(3 * X[:, 0])[None], [GpTrainConfig()])
+        assert model.targets.size == 20
+
+    def test_empty_block_builds_no_pairs(self, monkeypatch):
+        """A block without rows (a rank-0 PCA) fits no GP, so it builds no
+        pairs, and the memory guard cannot refuse it: with the memory figure
+        below what the pairs of N=1000 rows in M=9 dimensions would need,
+        it still returns no models."""
+        X = np.random.default_rng(0).uniform(0, 1, (1000, 9))
+        built, pairs = [], gp._pairs
+        monkeypatch.setattr(gp, "_pairs", lambda X: built.append(X) or pairs(X))
+        monkeypatch.setattr(gp, "_physical_memory", lambda: 1000.0)
+        assert train_gp(X, np.empty((0, 1000)), []) == []
+        assert built == []
 
     def test_pairs_peak_memory(self):
         """Building the pairs allocates no temporary as large as
@@ -166,13 +179,15 @@ class TestKernel:
 class TestNlml:
     def test_single_point_zero_target(self):
         h = make_hyper([1.0], 1.0, 0.0)
-        value = nlml(h, np.zeros((1, 1)), np.zeros(1))
+        X = np.zeros((1, 1))
+        value = posterior(_pairs(X), X, np.zeros(1), h).final_nlml
         assert np.isclose(value, 0.5 * np.log(2 * np.pi))
 
     def test_single_point_nonzero_target(self):
         h = make_hyper([1.0], 1.0, 0.0)
         y = 1.7
-        value = nlml(h, np.zeros((1, 1)), np.array([y]))
+        X = np.zeros((1, 1))
+        value = posterior(_pairs(X), X, np.array([y]), h).final_nlml
         assert np.isclose(value, 0.5 * np.log(2 * np.pi) + 0.5 * y ** 2)
 
     def test_two_point_brute_force(self):
@@ -184,7 +199,8 @@ class TestNlml:
         expected = (0.5 * np.log(np.linalg.det(C))
                     + 0.5 * y @ np.linalg.solve(C, y)
                     + np.log(2 * np.pi))
-        assert np.isclose(nlml(h, X, y), expected, rtol=1e-12)
+        assert np.isclose(posterior(_pairs(X), X, y, h).final_nlml, expected,
+                          rtol=1e-12)
 
 
 _U = np.finfo(float).eps / 2   # unit roundoff
@@ -242,7 +258,8 @@ class TestGradient:
     @settings(max_examples=60, deadline=None)
     @given(case=gradient_cases())
     def test_property_finite_differences(self, case):
-        """Central differences of ``nlml`` agree with ``nlml_gradient``.
+        """Central differences of the NLML (``posterior``) agree with the
+        gradient of ``_nlml_value_grad`` over the free hyperparameters.
 
         The tolerance is fixed by the error model, not fitted: the relative
         1e-5 of the hand-picked test below, plus the worst-case rounding of
@@ -250,21 +267,23 @@ class TestGradient:
         / h, for Cholesky on a matrix of condition number kappa.
         """
         X, y, hyper = case
-        grad = nlml_gradient(hyper, X, y)
+        pairs = _pairs(X)
+        theta = hyper.as_array()
         zero_jitter = bool(np.isneginf(hyper.log_jitter_var))
-        if zero_jitter:
-            assert grad[-1] == 0.0
+        # a zero jitter is not a free hyperparameter: no gradient entry
+        _, grad = _nlml_value_grad(theta[:theta.size - zero_jitter], pairs, y)
+        assert grad.size == theta.size - zero_jitter
         k = TestKernel.matrix(X, hyper)
         n = len(y)
         quad = abs(float(y @ np.linalg.solve(k, y)))
         rounding = np.linalg.cond(k) * n * _U * (n + quad) / _FD_STEP
-        theta = hyper.as_array()
         for i in range(theta.size - zero_jitter):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += _FD_STEP
             tm[i] -= _FD_STEP
-            fd = (nlml(Hyperparameters.from_array(tp), X, y)
-                  - nlml(Hyperparameters.from_array(tm), X, y)) / (2 * _FD_STEP)
+            fp, fm = (posterior(pairs, X, y, Hyperparameters.from_array(t))
+                      .final_nlml for t in (tp, tm))
+            fd = (fp - fm) / (2 * _FD_STEP)
             assert abs(grad[i] - fd) <= 1e-5 * max(abs(fd), 1.0) + rounding
 
     @settings(max_examples=60, deadline=None)
@@ -287,7 +306,9 @@ class TestGradient:
         D_ij, 1/l_i), so the two sides add at most 2 * 5 * 2^-1074 * sum F^4.
         """
         X, y, hyper = case
-        grad = nlml_gradient(hyper, X, y)
+        zero_jitter = bool(np.isneginf(hyper.log_jitter_var))
+        theta = hyper.as_array()[:-1] if zero_jitter else hyper.as_array()
+        _, grad = _nlml_value_grad(theta, _pairs(X), y)
         sqdists = dense_sqdists(X)
         ell = hyper.sq_lengths
         k = pair_matrix(X, hyper)
@@ -393,15 +414,17 @@ class TestGradient:
         theta = np.concatenate([rng.uniform(-1.5, 1.5, m),
                                 rng.uniform(-1, 1, 1),
                                 rng.uniform(-6, -2, 1)])
-        h = Hyperparameters(theta[:m], theta[m], theta[m + 1])
-        grad = nlml_gradient(h, X, y)
+        pairs = _pairs(X)
+        _, grad = _nlml_value_grad(theta, pairs, y)
         eps = 1e-6
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += eps
             tm[i] -= eps
-            fp = nlml(Hyperparameters(tp[:m], tp[m], tp[m + 1]), X, y)
-            fm = nlml(Hyperparameters(tm[:m], tm[m], tm[m + 1]), X, y)
+            fp = posterior(pairs, X, y, Hyperparameters(
+                tp[:m], tp[m], tp[m + 1])).final_nlml
+            fm = posterior(pairs, X, y, Hyperparameters(
+                tm[:m], tm[m], tm[m + 1])).final_nlml
             fd = (fp - fm) / (2 * eps)
             assert abs(grad[i] - fd) <= 1e-5 * max(abs(fd), 1.0)
 
@@ -409,14 +432,16 @@ class TestGradient:
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, (8, 2))
         h = make_hyper([0.5, 0.5], 1.0, 1e-4)
-        grad = nlml_gradient(h, X, np.zeros(8))
+        _, grad = _nlml_value_grad(h.as_array(), _pairs(X), np.zeros(8))
         assert grad[2] > 0.0
 
     def test_scalar_closed_form(self):
         # N=1, M=1, zero jitter: d/dlog(rho1^2) = 1/2 - y^2 / (2 rho1^2)
         y = 0.9
         h = make_hyper([1.0], 2.0, 0.0)
-        grad = nlml_gradient(h, np.zeros((1, 1)), np.array([y]))
+        # the zero jitter is pinned: theta drops its entry
+        _, grad = _nlml_value_grad(h.as_array()[:-1], _pairs(np.zeros((1, 1))),
+                                   np.array([y]))
         assert np.isclose(grad[1], 0.5 - y ** 2 / 4.0)
 
 
@@ -430,9 +455,9 @@ class TestOneFormula:
         X, y, hyper = case
         zero_jitter = bool(np.isneginf(hyper.log_jitter_var))
         theta = hyper.as_array()[:-1] if zero_jitter else hyper.as_array()
-        value = _nlml_value_grad(theta, _pairs(X), y)[0]
-        assert value == nlml(hyper, X, y)
-        assert value == posterior(X, y, hyper).final_nlml
+        pairs = _pairs(X)
+        value = _nlml_value_grad(theta, pairs, y)[0]
+        assert value == posterior(pairs, X, y, hyper).final_nlml
 
     # fixed examples: this property needs a model, and a fit may end in
     # TrainingFailedError instead (see TestTrainingOutcome)
@@ -442,8 +467,8 @@ class TestOneFormula:
         """``train_gp``'s final NLML is the objective at the returned
         hyperparameters, with a free jitter and with one pinned at zero."""
         X, y, zero_jitter = case
-        model = train_gp(X, y, GpTrainConfig(
-            restarts=2, max_iter=30, jitter_floor=0.0 if zero_jitter else None))
+        [model] = train_gp(X, y[None], [GpTrainConfig(
+            restarts=2, max_iter=30, jitter_floor=0.0 if zero_jitter else None)])
         theta = model.hyper.as_array()
         if zero_jitter:
             theta = theta[:-1]
@@ -492,7 +517,7 @@ class TestTrainingOutcome:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "minimize", recording)
             try:
-                model = train_gp(X, y, config)
+                [model] = train_gp(X, y[None], [config])
             except TrainingFailedError as err:
                 message = str(err)
             else:
@@ -518,14 +543,15 @@ class TestTraining:
     def test_zero_targets_predict_zero(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, (6, 2))
-        model = train_gp(X, np.zeros(6), GpTrainConfig(restarts=2))
+        [model] = train_gp(X, np.zeros((1, 6)), [GpTrainConfig(restarts=2)])
         mean, _ = predict(model, np.array([0.4, 0.6]))
         assert abs(mean) < 1e-12
 
     def test_interpolation_smooth_1d(self):
         X = np.linspace(0, 1, 10)[:, None]
         y = np.sin(3 * X[:, 0])
-        model = train_gp(X, y, GpTrainConfig(restarts=3, jitter_floor=0.0))
+        [model] = train_gp(X, y[None],
+                           [GpTrainConfig(restarts=3, jitter_floor=0.0)])
         for x, t in zip(X, y):
             mean, var = predict(model, x)
             assert abs(mean - t) < 1e-6
@@ -535,14 +561,15 @@ class TestTraining:
         X = np.array([[0.5], [0.5], [0.1]])
         y = np.array([1.0, 2.0, 0.0])
         with pytest.raises(TrainingFailedError):
-            train_gp(X, y, GpTrainConfig(restarts=3, jitter_floor=0.0))
+            train_gp(X, y[None], [GpTrainConfig(restarts=3, jitter_floor=0.0)])
 
     def test_training_never_worse_than_inits(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, (12, 2))
         y = np.cos(4 * X[:, 0]) + X[:, 1]
         cfg = GpTrainConfig(restarts=4, seed=5)
-        model = train_gp(X, y, cfg)
+        [model] = train_gp(X, y[None], [cfg])
+        pairs = _pairs(X)
         # replay the restart initializations used by train_gp
         spans = X.max(axis=0) - X.min(axis=0)
         var = float(np.var(y))
@@ -553,7 +580,7 @@ class TestTraining:
             log_sig2 = np.log(var) + gen.uniform(-1.0, 1.0)
             h = Hyperparameters(log_ell, float(log_sig2),
                                 float(np.log(1e-10 * var)))
-            assert model.final_nlml <= nlml(h, X, y) + 1e-9
+            assert model.final_nlml <= posterior(pairs, X, y, h).final_nlml + 1e-9
 
     @pytest.mark.parametrize("jitter_floor", [None, 0.0])
     def test_each_start_evaluated_once(self, monkeypatch, jitter_floor):
@@ -568,8 +595,8 @@ class TestTraining:
 
         monkeypatch.setattr(gp, "_nlml_value_grad", spy)
         X = np.random.default_rng(3).uniform(0, 1, (10, 2))
-        train_gp(X, np.sin(3 * X[:, 0]) * X[:, 1],
-                 GpTrainConfig(restarts=3, jitter_floor=jitter_floor))
+        train_gp(X, (np.sin(3 * X[:, 0]) * X[:, 1])[None],
+                 [GpTrainConfig(restarts=3, jitter_floor=jitter_floor)])
         assert len(seen) > 3
         assert all(a != b for a, b in zip(seen, seen[1:]))
 
@@ -604,7 +631,7 @@ class TestTraining:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "minimize", recording)
-            model = train_gp(X, y, config)
+            [model] = train_gp(X, y[None], [config])
         assert len(starts) == 5
         huge_then_failed = 0
         for seen in starts:
@@ -631,7 +658,7 @@ class TestTraining:
         X = np.linspace(0, 1, 10)[:, None] if distinct else np.zeros((10, 1))
         for step in (0.0, 1e-16, 1e-15, 1e-10):
             y = np.full(10, c) + step * abs(c) * np.arange(10)
-            model = train_gp(X, y)
+            [model] = train_gp(X, y[None], [GpTrainConfig()])
             assert (model.hyper.jitter_var
                     >= 1e-10 * np.mean(y * y) * (1 - 1e-12))
             assert model.final_nlml < 1e25
@@ -642,9 +669,9 @@ class TestTraining:
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, (8, 1))
         y = np.sin(2 * X[:, 0])
-        base = train_gp(X, y, GpTrainConfig(restarts=3, seed=0))
-        warm = train_gp(X, y, GpTrainConfig(restarts=1, seed=99,
-                                            warm_start=base.hyper))
+        [base] = train_gp(X, y[None], [GpTrainConfig(restarts=3, seed=0)])
+        [warm] = train_gp(X, y[None], [GpTrainConfig(restarts=1, seed=99,
+                                                     warm_start=base.hyper)])
         assert warm.final_nlml <= base.final_nlml + 1e-8
 
     def test_warm_start_below_floor_is_clipped(self):
@@ -653,10 +680,11 @@ class TestTraining:
         X = np.linspace(0, 1, 10)[:, None]
         y = np.sin(3 * X[:, 0])
         log_floor = np.log(1e-10 * np.var(y))
-        base = train_gp(X, y, GpTrainConfig(restarts=3, seed=0))
+        [base] = train_gp(X, y[None], [GpTrainConfig(restarts=3, seed=0)])
         stale = Hyperparameters(base.hyper.log_sq_lengths,
                                 base.hyper.log_signal_var, log_floor - 5.0)
-        model = train_gp(X, y, GpTrainConfig(restarts=1, warm_start=stale))
+        [model] = train_gp(X, y[None],
+                           [GpTrainConfig(restarts=1, warm_start=stale)])
         assert model.hyper.log_jitter_var >= log_floor
 
     def test_warm_start_zero_jitter(self):
@@ -664,17 +692,17 @@ class TestTraining:
         X = np.linspace(0, 1, 7)[:, None]
         y = np.sin(3 * X[:, 0])
         cfg = GpTrainConfig(restarts=3, seed=0, jitter_floor=0.0)
-        base = train_gp(X, y, cfg)
-        warm = train_gp(X, y, GpTrainConfig(restarts=1, seed=99,
-                                            jitter_floor=0.0,
-                                            warm_start=base.hyper))
+        [base] = train_gp(X, y[None], [cfg])
+        [warm] = train_gp(X, y[None], [GpTrainConfig(restarts=1, seed=99,
+                                                     jitter_floor=0.0,
+                                                     warm_start=base.hyper)])
         assert np.isneginf(warm.hyper.log_jitter_var)
         assert warm.final_nlml <= base.final_nlml + 1e-8
         # so does a warm start whose jitter is free
-        noisy = train_gp(X, y, GpTrainConfig(restarts=1, seed=99))
+        [noisy] = train_gp(X, y[None], [GpTrainConfig(restarts=1, seed=99)])
         assert np.isfinite(noisy.hyper.log_jitter_var)
-        pinned = train_gp(X, y, GpTrainConfig(restarts=1, jitter_floor=0.0,
-                                              warm_start=noisy.hyper))
+        [pinned] = train_gp(X, y[None], [GpTrainConfig(
+            restarts=1, jitter_floor=0.0, warm_start=noisy.hyper)])
         assert np.isneginf(pinned.hyper.log_jitter_var)
 
     def test_warm_start_wrong_dims(self):
@@ -683,7 +711,7 @@ class TestTraining:
         for dims in (1, 3):
             hyper = make_hyper(np.ones(dims), 1.0, 1e-6)
             with pytest.raises(ValueError):
-                train_gp(X, y, GpTrainConfig(warm_start=hyper))
+                train_gp(X, y[None], [GpTrainConfig(warm_start=hyper)])
 
 
 class TestPredict:
@@ -692,7 +720,9 @@ class TestPredict:
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (9, 2))
         y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1])
-        return train_gp(X, y, GpTrainConfig(restarts=3, jitter_floor=0.0))
+        [model] = train_gp(X, y[None],
+                           [GpTrainConfig(restarts=3, jitter_floor=0.0)])
+        return model
 
     def test_interpolates_at_training_points(self, model):
         for x, t in zip(model.inputs, model.targets):
@@ -704,8 +734,8 @@ class TestPredict:
         h = make_hyper([0.7], 1.9, 0.0)
         X = np.array([[0.2]])
         a = 1.4
-        model = train_gp(X, np.array([a]),
-                         GpTrainConfig(restarts=1, jitter_floor=0.0))
+        [model] = train_gp(X, np.array([[a]]),
+                           [GpTrainConfig(restarts=1, jitter_floor=0.0)])
         # mean must follow a * k(x, x0) / k(x0, x0) for any trained hyper
         for x in (0.0, 0.5, 1.0):
             mean, _ = predict(model, np.array([x]))
@@ -727,10 +757,10 @@ class TestPredict:
             assert -1e-10 <= var <= prior + 1e-10
 
     def test_permutation_invariance(self, model):
-        perm = np.random.default_rng(6).permutation(model.n_train)
-        shuffled = train_gp(model.inputs[perm], model.targets[perm],
-                            GpTrainConfig(restarts=1, jitter_floor=0.0,
-                                          warm_start=model.hyper))
+        perm = np.random.default_rng(6).permutation(model.targets.size)
+        [shuffled] = train_gp(model.inputs[perm], model.targets[perm][None],
+                              [GpTrainConfig(restarts=1, jitter_floor=0.0,
+                                             warm_start=model.hyper)])
         x = np.array([0.33, 0.77])
         m1, v1 = predict(model, x)
         # rebuild with identical hyperparameters on permuted data

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anovagp.pca import fit_pca, project, reconstruct
+from anovagp.pca import fit_pca
 
 EPS = np.finfo(float).eps / 2   # unit roundoff
 
@@ -98,51 +98,67 @@ class TestFitPca:
         rng = np.random.default_rng(5)
         data = rng.standard_normal((8, 12))
         model, targets = fit_pca(data, 1e-3)
+        # each column holds the principal coefficients V^T (y - mean) of
+        # its sample
         for j in range(8):
-            assert np.allclose(project(model, data[j]), targets[:, j])
+            assert np.allclose(model.components.T @ (data[j] - model.mean),
+                               targets[:, j])
 
 
 class TestProjectReconstruct:
+    """The target rows of ``fit_pca`` as coordinates: V^T (y - mean) per
+    sample, mapped back to output space by V alpha + mean."""
+
     @pytest.fixture()
     def model(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((10, 7))
-        model, _ = fit_pca(data, 1e-2)
-        return model, data
+        model, targets = fit_pca(data, 1e-2)
+        return model, targets, data
 
-    def test_mean_projects_to_zero(self, model):
-        m, _ = model
-        assert np.allclose(project(m, m.mean), 0.0)
+    def test_mean_projects_to_zero(self):
+        # samples in pairs c +- v about c, and c itself: the sample at the
+        # mean has zero coefficients
+        rng = np.random.default_rng(8)
+        c, v = rng.standard_normal(5), rng.standard_normal((3, 5))
+        m, targets = fit_pca(np.vstack([c + v, c - v, c]), 1e-2)
+        assert np.allclose(m.mean, c)
+        assert np.allclose(targets[:, -1], 0.0)
 
     def test_component_projects_to_unit(self, model):
-        m, _ = model
-        alpha = project(m, m.mean + m.components[:, 0])
-        expected = np.zeros(m.rank)
-        expected[0] = 1.0
-        assert np.allclose(alpha, expected, atol=1e-12)
+        # the components are orthonormal, so a unit step along one is a unit
+        # coefficient; the coefficient rows are uncorrelated, with the
+        # retained eigenvalues as their variances
+        m, targets, data = model
+        assert np.allclose(m.components.T @ m.components, np.eye(m.rank),
+                           atol=1e-12)
+        assert np.allclose(targets @ targets.T / len(data),
+                           np.diag(m.eigenvalues), atol=1e-12)
 
     def test_reconstruct_zero_is_mean(self, model):
-        m, _ = model
-        assert np.allclose(reconstruct(m, np.zeros(m.rank)), m.mean)
+        # the coefficients of the samples average to zero, so their
+        # reconstructions V alpha + mean average to the mean
+        m, targets, data = model
+        assert np.allclose(targets.mean(axis=1), 0.0, atol=1e-12)
+        recon = m.components @ targets + m.mean[:, None]
+        assert np.allclose(recon.mean(axis=1), m.mean)
 
-    def test_span_roundtrip(self, model):
-        m, _ = model
-        y = m.mean + m.components @ np.arange(1.0, m.rank + 1)
-        assert np.max(np.abs(reconstruct(m, project(m, y)) - y)) < 1e-10
-
-    def test_dimension_mismatch(self, model):
-        m, _ = model
-        with pytest.raises(ValueError):
-            project(m, np.zeros(3))
-        with pytest.raises(ValueError):
-            reconstruct(m, np.zeros(m.rank + 1))
+    def test_span_roundtrip(self):
+        # samples in a 3-dimensional affine subspace are reproduced exactly
+        rng = np.random.default_rng(6)
+        basis = rng.standard_normal((3, 7))
+        data = rng.standard_normal(7) + rng.standard_normal((10, 3)) @ basis
+        m, targets = fit_pca(data, 1e-6)
+        assert m.rank == 3
+        recon = m.components @ targets + m.mean[:, None]
+        assert np.max(np.abs(recon - data.T)) < 1e-10
 
     def test_discarded_variance_identity(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((12, 9)) * np.linspace(3, 0.1, 9)
-        model, _ = fit_pca(data, 0.2)
-        errs = [np.linalg.norm(reconstruct(model, project(model, y)) - y) ** 2
-                for y in data]
+        model, targets = fit_pca(data, 0.2)
+        recon = model.components @ targets + model.mean[:, None]
+        errs = np.sum((recon - data.T) ** 2, axis=0)
         vals, _ = brute_force_cov_eig(data)
         discarded = vals[model.rank:].sum()
         assert np.isclose(np.mean(errs), discarded, rtol=1e-8)
@@ -166,10 +182,9 @@ class TestProjectReconstruct:
         scales = data.draw(arrays(float, d, elements=st.floats(1e-3, 1e3)))
         raw = data.draw(arrays(float, (n, d), elements=st.floats(-10, 10)))
         dataset = raw * scales
-        model, _ = fit_pca(dataset, tol_pca)
+        model, targets = fit_pca(dataset, tol_pca)
         centered = dataset - model.mean
-        alphas = np.array([project(model, y) for y in dataset])
-        residual = centered - alphas @ model.components.T
+        residual = centered - targets.T @ model.components.T
         discarded_by_projection = np.mean(np.sum(residual ** 2, axis=1))
         vals, _ = brute_force_cov_eig(dataset)
         total = np.mean(np.sum(centered ** 2, axis=1))

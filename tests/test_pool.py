@@ -60,9 +60,9 @@ def spy_pools(monkeypatch) -> list:
 
     @contextlib.contextmanager
     def spy(*args):
-        with start_pool(*args) as (pairs, pool):
+        with start_pool(*args) as pool:
             yielded.append((pool, len(multiprocessing.active_children())))
-            yield pairs, pool
+            yield pool
 
     monkeypatch.setattr(gp, "_start_pool", spy)
     return yielded
@@ -83,9 +83,9 @@ class TestPooledStarts:
         cfg = GpTrainConfig(restarts=3, max_iter=25, seed=4,
                             jitter_floor=jitter_floor)
         with one_blas_thread():
-            expected = sequential(X, y, cfg)
+            [expected] = sequential(X, y[None], [cfg])
             pools = spy_pools(monkeypatch)
-            pooled = train_gp(X, y, cfg)
+            [pooled] = train_gp(X, y[None], [cfg])
         [(pool, children)] = pools
         assert pool is not None
         assert children == min(3, gp._usable_cpus())
@@ -94,12 +94,12 @@ class TestPooledStarts:
 
     def test_warm_start_pooled(self, monkeypatch):
         X, y = data(seed=1)
-        base = train_gp(X, y, FAST)
+        [base] = train_gp(X, y[None], [FAST])
         cfg = GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper)
         with one_blas_thread():
-            expected = sequential(X, y, cfg)
+            [expected] = sequential(X, y[None], [cfg])
             pools = spy_pools(monkeypatch)
-            pooled = train_gp(X, y, cfg)
+            [pooled] = train_gp(X, y[None], [cfg])
         assert [pool is not None for pool, _ in pools] == [True]
         assert_same_model(pooled, expected)
 
@@ -108,7 +108,7 @@ class TestPooledStarts:
         call through one pool, give the models of the same call run here
         and of one call per row."""
         X, y = data(seed=2)
-        base = train_gp(X, y, FAST)
+        [base] = train_gp(X, y[None], [FAST])
         rows = np.stack([y, np.cos(2 * X[:, 0]), X[:, 1] - X[:, 2]])
         configs = [
             GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper),
@@ -116,7 +116,8 @@ class TestPooledStarts:
             FAST]
         with one_blas_thread():
             expected = sequential(X, rows, configs)
-            per_row = [train_gp(X, row, cfg) for row, cfg in zip(rows, configs)]
+            per_row = [train_gp(X, row[None], [cfg])[0]
+                       for row, cfg in zip(rows, configs)]
             pools = spy_pools(monkeypatch)
             pooled = train_gp(X, rows, configs)
         assert [pool is not None for pool, _ in pools] == [True]
@@ -189,24 +190,24 @@ class TestPooledStarts:
 
 def test_small_or_single_start_fits_stay_here():
     X, _ = data()
-    with gp._start_pool(X[:gp.POOL_ROWS], 5) as (_, pool):
+    with gp._start_pool(gp._pairs(X[:gp.POOL_ROWS]), 5) as pool:
         assert pool is None
-    with gp._start_pool(X, 1) as (_, pool):
+    with gp._start_pool(gp._pairs(X), 1) as pool:
         assert pool is None
     assert multiprocessing.active_children() == []
 
 
 def test_one_start_and_empty_blocks_stay_here(monkeypatch):
     """A block whose rows have one start each (``SCALED_CONFIG``'s S-GP)
-    and a rank-0 block fork nothing."""
+    forks nothing, and a rank-0 block opens no pool at all."""
     X, y = data()
     pools = spy_pools(monkeypatch)
     one_start = GpTrainConfig(restarts=1, max_iter=25)
     models = train_gp(X, np.stack([y, -y]), [one_start] * 2)
     assert len(models) == 2
     assert train_gp(X, np.empty((0, N)), []) == []
-    assert [pool for pool, _ in pools] == [None, None]
-    assert [children for _, children in pools] == [0, 0]
+    assert [pool for pool, _ in pools] == [None]
+    assert [children for _, children in pools] == [0]
 
 
 def test_other_threads_keep_fits_here():
@@ -216,7 +217,7 @@ def test_other_threads_keep_fits_here():
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        with gp._start_pool(X, 2) as (_, pool):
+        with gp._start_pool(gp._pairs(X), 2) as pool:
             assert pool is None
     finally:
         done.set()
