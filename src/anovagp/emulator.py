@@ -311,15 +311,29 @@ def load_emulator(path: str):
         if "blocks" not in meta:
             raise ConfigError(f"{path} is an emulator archive whose meta "
                               "lists no 'blocks'")
+        all_coords = meta["blocks"]
+        if not (isinstance(all_coords, list) and all(
+                isinstance(coords, list) and all(type(i) is int for i in coords)
+                for coords in all_coords)):
+            raise ConfigError(f"{path} is an emulator archive whose meta "
+                              "'blocks' is not a list of coordinate lists")
+        if kind == "sgp" and len(all_coords) != 1:
+            raise ConfigError(f"{path} is an S-GP archive whose meta lists "
+                              f"{len(all_coords)} blocks instead of one")
         try:
+            if kind == "anova-gp":
+                try:
+                    selection = IndexSelection.from_dict(meta["selection"])
+                except (AttributeError, TypeError, ValueError):
+                    raise ConfigError(f"{path} is an emulator archive whose "
+                                      "meta 'selection' is malformed") from None
             blocks = [_load_block(data, f"b{i}_", tuple(coords))
-                      for i, coords in enumerate(meta["blocks"])]
+                      for i, coords in enumerate(all_coords)]
             if kind == "sgp":
                 return blocks[0]
             return AnovaGpEmulator(
                 anchor_output=data["anchor_output"], anchor=data["anchor"],
-                locals={b.coords: b for b in blocks},
-                selection=IndexSelection.from_dict(meta["selection"]))
+                locals={b.coords: b for b in blocks}, selection=selection)
         except KeyError as err:   # a member or meta key the archive lacks
             raise ConfigError(f"{path} is an incomplete emulator archive: "
                               f"{err.args[0]}") from None

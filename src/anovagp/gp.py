@@ -288,8 +288,7 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     if not tasks:
         return []
     pairs = _pairs(inputs)
-    n_starts = max(len(inits) for inits, _, _ in plans)
-    with _start_pool(pairs, n_starts) as pool:
+    with _start_pool(pairs, len(tasks)) as pool:
         if pool is None:
             results = [_run_start(pairs, *task) for task in tasks]
         else:
@@ -484,14 +483,14 @@ def numpy_blas_threads(count: int):
 
 
 @contextlib.contextmanager
-def _start_pool(pairs: Pairs, n_starts: int):
-    """Yields a pool of min(n_starts, usable CPUs) workers that inherited
-    ``pairs``, or None.
+def _start_pool(pairs: Pairs, n_tasks: int):
+    """Yields a pool of min(n_tasks, usable CPUs) workers that inherited
+    ``pairs``, or None; ``n_tasks`` counts the starts the pool will map.
 
-    The pool exists when the rows number more than ``POOL_ROWS``, some fit
-    has two or more starts, two or more CPUs are usable, the platform
-    forks, no other thread runs (forking a threaded process is unsafe) and
-    every loaded OpenBLAS can set its thread count.  Each worker sets
+    The pool exists when the rows number more than ``POOL_ROWS``, there are
+    two or more starts, two or more CPUs are usable, the platform forks, no
+    other thread runs (forking a threaded process is unsafe) and every
+    loaded OpenBLAS can set its thread count.  Each worker sets
     OpenBLAS to one thread before its first BLAS call; at two, two workers
     would fight over the cores.  This process runs at one thread too while
     the pool is open, because at two its BLAS threads spin between calls on
@@ -499,7 +498,7 @@ def _start_pool(pairs: Pairs, n_starts: int):
     workers shut down.  (It forks at those counts: forked at one thread,
     its first call after the restore often waited about 0.1 s.)
     """
-    workers = min(n_starts, _usable_cpus())
+    workers = min(n_tasks, _usable_cpus())
     if (pairs.n <= POOL_ROWS or workers < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1

@@ -213,6 +213,9 @@ class DiffusionSimulator(Simulator):
 
 class _AnalyticSimulator(Simulator):
     def __init__(self, m: int, output_dim: int):
+        if m < 1 or output_dim < 1:
+            raise ConfigError("analytic simulators need m >= 1 and "
+                              f"output_dim >= 1, got {m} and {output_dim}")
         self.input_dim = m
         self.output_dim = output_dim
         self.intervals = np.tile([0.0, 1.0], (m, 1))

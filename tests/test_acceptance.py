@@ -252,6 +252,8 @@ def test_criterion_7_method_ordering(scaled_run):
     med_sgp = report.summaries["sgp"]["median"]
     print(f"\nmedian relative error: anova_gp={med_anova:.3e} "
           f"sgp={med_sgp:.3e} (run took {elapsed:.0f} s)")
+    print("stage timings:", ", ".join(
+        f"{stage}={seconds:.2f} s" for stage, seconds in report.timings.items()))
     ok = not math.isnan(med_anova) and not math.isnan(med_sgp)
     ok &= med_anova <= med_sgp
     ok &= elapsed < 1800.0

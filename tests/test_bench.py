@@ -52,6 +52,18 @@ BROKEN_ARCHIVES = {
     "meta-only": (npz_bytes(json.dumps({**_ARCHIVE_META, "blocks": [[1]]})),
                   "is an incomplete emulator archive: b0_mean is not a file "
                   "in the archive"),
+    "sgp-without-block": (npz_bytes(json.dumps({**_ARCHIVE_META,
+                                                "blocks": []})),
+                          "is an S-GP archive whose meta lists 0 blocks "
+                          "instead of one"),
+    "blocks-not-coordinates": (npz_bytes(json.dumps({**_ARCHIVE_META,
+                                                     "blocks": [5]})),
+                               "is an emulator archive whose meta 'blocks' "
+                               "is not a list of coordinate lists"),
+    "selection-not-mapping": (npz_bytes(json.dumps({
+        **_ARCHIVE_META, "kind": "anova-gp", "blocks": [],
+        "selection": []})),
+        "is an emulator archive whose meta 'selection' is malformed"),
 }
 
 
@@ -170,6 +182,11 @@ class TestConfig:
         {"simulator": "filename"},
         {"simulator": {"name": "additive", "m": 2, "outputdim": 5}},
         {"simulator": {"name": "additive", "m": 2.5}},
+        {"simulator": {"name": "additive", "m": -1}},
+        {"simulator": {"name": "additive", "m": 0}},
+        {"simulator": {"name": "additive", "output_dim": 0}},
+        {"simulator": {"name": "rank-one-product", "output_dim": -2}},
+        {"simulator": {"name": "polynomial-mix", "output_dim": 0}},
         {"simulator": {"name": "diffusion", "elements": 8}},
         {"simulator": {"name": "diffusion", "k_side": True}},
         {"simulator": {"name": ["diffusion"]}},

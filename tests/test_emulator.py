@@ -385,7 +385,15 @@ class TestSerialization:
                 (json.dumps(version), "whose meta lists no 'blocks'$"),
                 (json.dumps({**version, "blocks": [[1, 2]]}),
                  "is an incomplete emulator archive: b0_mean is not a file "
-                 "in the archive$")):
+                 "in the archive$"),
+                (json.dumps({**version, "blocks": []}),
+                 "is an S-GP archive whose meta lists 0 blocks instead of "
+                 "one$"),
+                (json.dumps({**version, "blocks": [5]}),
+                 "whose meta 'blocks' is not a list of coordinate lists$"),
+                (json.dumps({**version, "kind": "anova-gp", "blocks": [],
+                             "selection": []}),
+                 "whose meta 'selection' is malformed$")):
             np.savez(foreign, meta=np.array(meta))
             with pytest.raises(ConfigError, match=match):
                 load_emulator(str(foreign))

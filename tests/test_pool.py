@@ -197,17 +197,30 @@ def test_small_or_single_start_fits_stay_here():
     assert multiprocessing.active_children() == []
 
 
-def test_one_start_and_empty_blocks_stay_here(monkeypatch):
-    """A block whose rows have one start each (``SCALED_CONFIG``'s S-GP)
-    forks nothing, and a rank-0 block opens no pool at all."""
+@poolable
+def test_one_start_rows_pool_and_lone_starts_stay_here(monkeypatch):
+    """The pool is sized by the block's starts in all: two rows of one start
+    each (as ``SCALED_CONFIG``'s S-GP has) fork min(2, CPUs) workers and
+    give the models of the same starts run here, a block with one start in
+    all forks nothing, and a rank-0 block opens no pool at all."""
     X, y = data()
-    pools = spy_pools(monkeypatch)
+    rows = np.stack([y, np.cos(2 * X[:, 0])])
     one_start = GpTrainConfig(restarts=1, max_iter=25)
-    models = train_gp(X, np.stack([y, -y]), [one_start] * 2)
-    assert len(models) == 2
+    with one_blas_thread():
+        expected = sequential(X, rows, [one_start] * 2)
+        pools = spy_pools(monkeypatch)
+        pooled = train_gp(X, rows, [one_start] * 2)
+    [(pool, children)] = pools
+    assert pool is not None
+    assert children == min(2, gp._usable_cpus())
+    assert len(pooled) == 2
+    for model, seq in zip(pooled, expected):
+        assert_same_model(model, seq)
+    pools.clear()
+    assert len(train_gp(X, y[None], [one_start])) == 1
     assert train_gp(X, np.empty((0, N)), []) == []
-    assert [pool for pool, _ in pools] == [None]
-    assert [children for _, children in pools] == [0]
+    assert pools == [(None, 0)]
+    assert multiprocessing.active_children() == []
 
 
 def test_other_threads_keep_fits_here():
