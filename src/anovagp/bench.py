@@ -207,7 +207,7 @@ def run_experiment(config: ExperimentConfig,
 
     Artifacts (errors.csv, report.json, emulator archives, a config echo)
     are written to ``out_dir`` when given.  The report records the OpenBLAS
-    thread counts the run started at, which byte-identical results rely on.
+    thread counts the run ran at: one each, set when ``gp`` is imported.
     """
     config.validate()
     blas_threads = blas_thread_counts()

@@ -29,7 +29,7 @@ from .anova import AnovaIndex, IndexSelection, SimCache, TermDataset, term_value
 from .exceptions import ConfigError, TrainingFailedError, \
     UndefinedIndicatorError
 from .gp import GpModel, GpTrainConfig, Hyperparameters, _pairs, \
-    cross_kernel, numpy_blas_threads, posterior, predict_batch, train_gp
+    cross_kernel, posterior, predict_batch, train_gp
 from .pca import PcaModel, fit_pca
 from .simulators import Simulator
 
@@ -132,8 +132,6 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
     largest variance indicator into the training set (evaluating the term
     through the shared simulator cache), until ``n_train`` points are reached;
     a final full refit closes the loop.  Deterministic for a fixed seed.
-    The loop runs numpy's OpenBLAS at one thread (``numpy_blas_threads``)
-    and restores its count on exit, whether it returns or raises.
     """
     t = tuple(t)
     if n_train < 1:
@@ -149,22 +147,18 @@ def train_local(t: AnovaIndex, theta_t: TermDataset, n_train: int,
 
     block = None
     refit = 0
-    # numpy's BLAS at one thread: its second thread, woken by the PCA
-    # products, would spin through the small fits that follow.  Scipy's
-    # keeps its count; the results measured bitwise equal at either count.
-    with numpy_blas_threads(1):
-        while True:
-            block = _fit_block(t, inputs, values, gp_config, tol_pca, block,
-                               refit, t)
-            if block.rank == 0 or inputs.shape[0] >= n_train:
-                return block
-            pick = int(np.argmax(variance_indicator(block, pool)))
-            xi_star = pool[pick]
-            y_star = term_value(t, xi_star, c, cache)
-            inputs = np.vstack([inputs, xi_star])
-            values = np.vstack([values, y_star])
-            pool = np.delete(pool, pick, axis=0)
-            refit += 1
+    while True:
+        block = _fit_block(t, inputs, values, gp_config, tol_pca, block,
+                           refit, t)
+        if block.rank == 0 or inputs.shape[0] >= n_train:
+            return block
+        pick = int(np.argmax(variance_indicator(block, pool)))
+        xi_star = pool[pick]
+        y_star = term_value(t, xi_star, c, cache)
+        inputs = np.vstack([inputs, xi_star])
+        values = np.vstack([values, y_star])
+        pool = np.delete(pool, pick, axis=0)
+        refit += 1
 
 
 @dataclass
@@ -241,19 +235,46 @@ def _save_block(arrays: dict, prefix: str, block: PcaGp) -> None:
         [g.hyper.as_array() for g in block.mode_gps]).reshape(block.rank, n_dims + 2)
 
 
-def _load_block(data, prefix: str, coords: AnovaIndex) -> PcaGp:
-    pca_model = PcaModel(mean=data[prefix + "mean"],
-                         components=data[prefix + "components"],
-                         eigenvalues=data[prefix + "eigenvalues"],
-                         total_variance=float(data[prefix + "total_variance"]))
-    inputs, rows = data[prefix + "inputs"], data[prefix + "targets"]
+_BLOCK_MEMBERS = ("mean", "components", "eigenvalues", "total_variance",
+                  "inputs", "values", "targets", "loghyp")
+
+
+def _block_members(data, prefix: str, coords: AnovaIndex,
+                   path: str) -> dict[str, np.ndarray]:
+    """The members of one archived block, by name without ``prefix``.
+
+    Their shapes must agree with ``inputs`` (N, |coords|), the rank
+    R = ``eigenvalues.size`` and the output size d = ``mean.size``; an
+    archive whose shapes disagree raises ``ConfigError``.
+    """
+    arrays = {name: data[prefix + name] for name in _BLOCK_MEMBERS}
+    n = (arrays["inputs"].shape or (0,))[0]
+    d, r, k = arrays["mean"].size, arrays["eigenvalues"].size, len(coords)
+    shapes = {"mean": (d,), "components": (d, r), "eigenvalues": (r,),
+              "total_variance": (), "inputs": (n, k), "values": (n, d),
+              "targets": (r, n), "loghyp": (r, k + 2)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(
+                f"{path} is an emulator archive whose {prefix}{name} has "
+                f"shape {arrays[name].shape} where the other members of its "
+                f"block need {shape}")
+    return arrays
+
+
+def _load_block(arrays: dict[str, np.ndarray], coords: AnovaIndex) -> PcaGp:
+    """The block of ``_block_members``, each mode conditioned again."""
+    pca_model = PcaModel(mean=arrays["mean"], components=arrays["components"],
+                         eigenvalues=arrays["eigenvalues"],
+                         total_variance=float(arrays["total_variance"]))
+    inputs, rows = arrays["inputs"], arrays["targets"]
     # one set of pairs conditions every mode; a rank-0 block needs none
     pairs = _pairs(inputs) if len(rows) else None
     mode_gps = [posterior(pairs, inputs, targets,
                           Hyperparameters.from_array(loghyp))
-                for targets, loghyp in zip(rows, data[prefix + "loghyp"])]
+                for targets, loghyp in zip(rows, arrays["loghyp"])]
     return PcaGp(coords=coords, pca=pca_model, mode_gps=mode_gps,
-                 train_inputs=inputs, train_values=data[prefix + "values"])
+                 train_inputs=inputs, train_values=arrays["values"])
 
 
 def save_emulator(emulator, path: str) -> None:
@@ -278,10 +299,33 @@ def save_emulator(emulator, path: str) -> None:
     np.savez(path, **arrays)
 
 
+def _check_anchor(anchor: np.ndarray, anchor_output: np.ndarray,
+                  all_coords: list, members: list, path: str) -> None:
+    """``ConfigError`` unless ``anchor`` is a point (m,) and
+    ``anchor_output`` an output (d,) that fit every block: coordinates
+    within 1..m and the block's output size d."""
+    m, d = anchor.size, anchor_output.size
+    if anchor.shape != (m,) or anchor_output.shape != (d,):
+        raise ConfigError(f"{path} is an ANOVA-GP archive whose anchor "
+                          f"{anchor.shape} or anchor_output "
+                          f"{anchor_output.shape} is not a vector")
+    for coords, arrays in zip(all_coords, members):
+        if not all(1 <= i <= m for i in coords):
+            raise ConfigError(f"{path} is an ANOVA-GP archive whose block "
+                              f"{coords} has coordinates outside 1..{m}, "
+                              f"the inputs of its anchor")
+        if arrays["mean"].size != d:
+            raise ConfigError(f"{path} is an ANOVA-GP archive whose block "
+                              f"{coords} has {arrays['mean'].size} outputs, "
+                              f"its anchor_output {d}")
+
+
 def load_emulator(path: str):
     """Load an emulator archive written by ``save_emulator``.
 
-    A file that is not such an archive raises ``ConfigError``.
+    A file that is not such an archive, or one whose members' shapes
+    disagree (``_block_members``, ``_check_anchor``), raises
+    ``ConfigError``.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -327,12 +371,18 @@ def load_emulator(path: str):
                 except (AttributeError, TypeError, ValueError):
                     raise ConfigError(f"{path} is an emulator archive whose "
                                       "meta 'selection' is malformed") from None
-            blocks = [_load_block(data, f"b{i}_", tuple(coords))
-                      for i, coords in enumerate(all_coords)]
+            members = [_block_members(data, f"b{i}_", tuple(coords), path)
+                       for i, coords in enumerate(all_coords)]
+            if kind == "anova-gp":
+                anchor, anchor_output = data["anchor"], data["anchor_output"]
+                _check_anchor(anchor, anchor_output, all_coords, members,
+                              path)
+            blocks = [_load_block(arrays, tuple(coords))
+                      for arrays, coords in zip(members, all_coords)]
             if kind == "sgp":
                 return blocks[0]
             return AnovaGpEmulator(
-                anchor_output=data["anchor_output"], anchor=data["anchor"],
+                anchor_output=anchor_output, anchor=anchor,
                 locals={b.coords: b for b in blocks}, selection=selection)
         except KeyError as err:   # a member or meta key the archive lacks
             raise ConfigError(f"{path} is an incomplete emulator archive: "

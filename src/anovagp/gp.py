@@ -12,9 +12,9 @@ direct LAPACK calls that read only the lower triangle.  ``train_gp`` fits
 rows of targets over the same inputs, one model per row, and builds their
 pairs once; ``posterior`` conditions a model on given pairs and
 hyperparameters.  A block on more than ``POOL_ROWS`` rows can run its starts
-in forked worker processes.
-``numpy_blas_threads`` sets numpy's OpenBLAS thread count for a block of
-code, as local training does.
+in forked worker processes, the package's only parallelism: on import this
+module sets every loaded OpenBLAS to one thread, and nothing changes that
+count later, so results do not depend on the count a process starts with.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     failed fails.  Each model achieves the lowest NLML among its row's
     other starts (never worse than any clipped start the objective can
     evaluate).  All starts run through one map, in worker processes on more
-    than ``POOL_ROWS`` rows (``_start_pool``, same models as run here at
-    one BLAS thread); every model is then conditioned here.  A row whose
+    than ``POOL_ROWS`` rows (``_start_pool``, same models as run here);
+    every model is then conditioned here.  A row whose
     starts all fail raises ``TrainingFailedError`` with ``mode`` that row.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -293,7 +293,6 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
             results = [_run_start(pairs, *task) for task in tasks]
         else:
             results = pool.starmap(_pooled_start, tasks, chunksize=1)
-    # the workers are gone and this process is back at its BLAS threads
     models = []
     for r, ((inits, bounds, floor), y) in enumerate(zip(plans, rows)):
         row, results = results[:len(inits)], results[len(inits):]
@@ -396,11 +395,9 @@ POOL_ROWS = 64
 _worker_pairs: Pairs | None = None   # set in each worker of a start pool
 
 
-def _init_worker(pairs: Pairs, controls: Sequence[_BlasLibrary]) -> None:
+def _init_worker(pairs: Pairs) -> None:
     global _worker_pairs
     _worker_pairs = pairs
-    for lib in controls:   # before any BLAS call of this worker
-        lib.set(1)
 
 
 def _pooled_start(*task):
@@ -458,28 +455,11 @@ def blas_thread_counts() -> dict[str, int]:
             for lib in _openblas_thread_controls()}
 
 
-@contextlib.contextmanager
-def _blas_threads(count: int, controls: Sequence[_BlasLibrary]):
-    """Run the block with the OpenBLAS libraries of ``controls`` (from
-    ``_openblas_thread_controls``) at ``count`` threads, and restore their
-    old counts on exit."""
-    old = [lib.get() for lib in controls]
-    for lib in controls:
-        lib.set(count)
-    try:
-        yield
-    finally:
-        for lib, n in zip(controls, old):
-            lib.set(n)
-
-
-def numpy_blas_threads(count: int):
-    """``_blas_threads`` over numpy's own OpenBLAS only, the one in its
-    ``numpy.libs`` folder; scipy's keeps its count.  Where numpy's library
-    cannot be told apart, the block runs at the counts it finds."""
-    return _blas_threads(count, [
-        lib for lib in _openblas_thread_controls()
-        if Path(lib.path).parent.name == "numpy.libs"])
+# One BLAS thread from import on, the only place a count is set: a model is
+# conditioned at the count its starts ran at, in a worker or here, and a
+# loaded archive at the same.
+for _lib in _openblas_thread_controls():
+    _lib.set(1)
 
 
 @contextlib.contextmanager
@@ -490,26 +470,21 @@ def _start_pool(pairs: Pairs, n_tasks: int):
     The pool exists when the rows number more than ``POOL_ROWS``, there are
     two or more starts, two or more CPUs are usable, the platform forks, no
     other thread runs (forking a threaded process is unsafe) and every
-    loaded OpenBLAS can set its thread count.  Each worker sets
-    OpenBLAS to one thread before its first BLAS call; at two, two workers
-    would fight over the cores.  This process runs at one thread too while
-    the pool is open, because at two its BLAS threads spin between calls on
-    the cores the workers need; on exit its old counts are restored and the
-    workers shut down.  (It forks at those counts: forked at one thread,
-    its first call after the restore often waited about 0.1 s.)
+    loaded OpenBLAS can set its thread count, so that the workers inherit
+    the one thread set on import; at two, two workers would fight over the
+    cores.  The workers shut down on exit.
     """
     workers = min(n_tasks, _usable_cpus())
     if (pairs.n <= POOL_ROWS or workers < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1
-            or not (controls := _openblas_thread_controls())):
+            or not _openblas_thread_controls()):
         yield None
         return
     pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(pairs, controls))
+        workers, initializer=_init_worker, initargs=(pairs,))
     try:
-        with _blas_threads(1, controls):
-            yield pool
+        yield pool
     finally:
         pool.terminate()
         pool.join()

@@ -32,14 +32,37 @@ CHEAP = {
 }
 
 
-def npz_bytes(meta: str) -> bytes:
-    """An npz archive whose only member is ``meta``, as bytes."""
+def npz_bytes(meta: str, **members) -> bytes:
+    """An npz archive of ``meta`` and ``members``, as bytes."""
     buf = io.BytesIO()
-    np.savez(buf, meta=np.array(meta))
+    np.savez(buf, meta=np.array(meta), **members)
     return buf.getvalue()
 
 
 _ARCHIVE_META = {"schema_version": 2, "kind": "sgp"}
+
+# a block over coordinates [1, 2]: 6 training points, outputs of size 4,
+# rank 2; each archive below changes one member of it
+_BLOCK = {"b0_mean": np.zeros(4), "b0_components": np.eye(4)[:, :2],
+          "b0_eigenvalues": np.array([2.0, 1.0]),
+          "b0_total_variance": np.float64(3.0),
+          "b0_inputs": np.linspace(0.0, 1.0, 12).reshape(6, 2),
+          "b0_values": np.zeros((6, 4)), "b0_targets": np.zeros((2, 6)),
+          "b0_loghyp": np.zeros((2, 4))}
+_SGP_META = {**_ARCHIVE_META, "blocks": [[1, 2]]}
+_ANOVA_META = {**_ARCHIVE_META, "kind": "anova-gp", "blocks": [[1, 2]],
+               "selection": {"orders": {"2": [[1, 2]]}, "weights": {},
+                             "candidate_counts": {}}}
+_ANOVA = {**_BLOCK, "anchor": np.zeros(3), "anchor_output": np.zeros(4)}
+
+
+def sgp_bytes(**changes) -> bytes:
+    return npz_bytes(json.dumps(_SGP_META), **{**_BLOCK, **changes})
+
+
+def anova_bytes(meta=_ANOVA_META, **changes) -> bytes:
+    return npz_bytes(json.dumps(meta), **{**_ANOVA, **changes})
+
 
 # broken emulator archives and the end of the message each is reported with
 BROKEN_ARCHIVES = {
@@ -64,6 +87,34 @@ BROKEN_ARCHIVES = {
         **_ARCHIVE_META, "kind": "anova-gp", "blocks": [],
         "selection": []})),
         "is an emulator archive whose meta 'selection' is malformed"),
+    "loghyp-columns": (sgp_bytes(b0_loghyp=np.zeros((2, 3))),
+                       "is an emulator archive whose b0_loghyp has shape "
+                       "(2, 3) where the other members of its block need "
+                       "(2, 4)"),
+    "inputs-rows": (sgp_bytes(b0_inputs=_BLOCK["b0_inputs"][:5]),
+                    "is an emulator archive whose b0_values has shape (6, 4) "
+                    "where the other members of its block need (5, 4)"),
+    "targets-extra-row": (sgp_bytes(b0_targets=np.zeros((3, 6))),
+                          "is an emulator archive whose b0_targets has shape "
+                          "(3, 6) where the other members of its block need "
+                          "(2, 6)"),
+    "components-rows": (sgp_bytes(b0_components=np.eye(4)[:3, :2]),
+                        "is an emulator archive whose b0_components has "
+                        "shape (3, 2) where the other members of its block "
+                        "need (4, 2)"),
+    "mean-cut": (sgp_bytes(b0_mean=np.zeros(3)),
+                 "is an emulator archive whose b0_components has shape "
+                 "(4, 2) where the other members of its block need (3, 2)"),
+    "anchor-output-cut": (anova_bytes(anchor_output=np.zeros(3)),
+                          "is an ANOVA-GP archive whose block [1, 2] has 4 "
+                          "outputs, its anchor_output 3"),
+    "block-outside-anchor": (anova_bytes({**_ANOVA_META, "blocks": [[2, 7]]}),
+                             "is an ANOVA-GP archive whose block [2, 7] has "
+                             "coordinates outside 1..3, the inputs of its "
+                             "anchor"),
+    "anchor-cut": (anova_bytes(anchor=np.zeros(1)),
+                   "is an ANOVA-GP archive whose block [1, 2] has "
+                   "coordinates outside 1..1, the inputs of its anchor"),
 }
 
 
@@ -287,7 +338,7 @@ class TestRunExperiment:
 
     def test_report_records_blas_threads(self, report):
         """report.json holds the OpenBLAS thread count per library file
-        the run started at; the run leaves every count as it found it."""
+        the run ran at; the run leaves every count as it found it."""
         rep, out = report
         with open(out / "report.json") as fh:
             recorded = json.load(fh)["blas_threads"]

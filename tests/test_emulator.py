@@ -397,6 +397,41 @@ class TestSerialization:
             np.savez(foreign, meta=np.array(meta))
             with pytest.raises(ConfigError, match=match):
                 load_emulator(str(foreign))
+        # archives whose members' shapes disagree
+        anova_em, sgp_em = trained_pair("polynomial-mix")
+        archives = {"sgp": tmp_path / "sgp.npz",
+                    "anova-gp": tmp_path / "anova_gp.npz"}
+        save_emulator(sgp_em, str(archives["sgp"]))
+        save_emulator(anova_em, str(archives["anova-gp"]))
+        blocks = [list(t) for t in anova_em.locals]
+        assert blocks[3] == [1, 2]
+        for kind, change, match in (
+                ("sgp", {"b0_loghyp": lambda a: a[:, :3]},
+                 r"b0_loghyp has shape \(2, 3\) where the other members of "
+                 r"its block need \(2, 5\)$"),
+                ("sgp", {"b0_inputs": lambda a: a[:5]},
+                 r"b0_values has shape \(30, 5\) where .* need \(5, 5\)$"),
+                ("sgp", {"b0_targets": lambda a: np.vstack([a, a[:1]])},
+                 r"b0_targets has shape \(3, 30\) where .* need \(2, 30\)$"),
+                ("sgp", {"b0_components": lambda a: a[:3]},
+                 r"b0_components has shape \(3, 2\) where .* need \(5, 2\)$"),
+                ("sgp", {"b0_mean": lambda a: a[:3]},
+                 r"b0_components has shape \(5, 2\) where .* need \(3, 2\)$"),
+                ("anova-gp", {"anchor_output": lambda a: a[:3]},
+                 r"whose block \[1\] has 5 outputs, its anchor_output 3$"),
+                ("anova-gp", {"meta": lambda a: np.array(json.dumps({
+                    **json.loads(str(a)),
+                    "blocks": blocks[:3] + [[2, 7]]}))},
+                 r"whose block \[2, 7\] has coordinates outside 1\.\.3, "),
+                ("anova-gp", {"anchor": lambda a: a[:2]},
+                 r"whose block \[3\] has coordinates outside 1\.\.2, ")):
+            with np.load(str(archives[kind])) as data:
+                arrays = {k: data[k] for k in data.files}
+            for name, cut in change.items():
+                arrays[name] = cut(arrays[name])
+            np.savez(foreign, **arrays)
+            with pytest.raises(ConfigError, match=match):
+                load_emulator(str(foreign))
 
     def test_load_builds_pairs_once_per_block(self, tmp_path, monkeypatch):
         """Every mode of a loaded block is conditioned on one set of pairs,

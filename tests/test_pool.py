@@ -1,15 +1,20 @@
-"""Tests for OpenBLAS thread counts: the worker processes that run the
-starts of large GP fits, and local training at one numpy BLAS thread."""
+"""Tests for the worker processes that run the starts of large GP fits, and
+for the one OpenBLAS thread the package runs at from import on."""
 
 import contextlib
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anovagp import emulator, gp
+import anovagp
+from anovagp import gp
 from anovagp.anova import SimCache, term_mean
 from anovagp.emulator import load_emulator, save_emulator, train_local, \
     train_sgp
@@ -23,14 +28,6 @@ FAST = GpTrainConfig(restarts=3, max_iter=25, seed=4)
 poolable = pytest.mark.skipif(
     gp._usable_cpus() < 2 or not gp._openblas_thread_controls(),
     reason="needs two usable CPUs and OpenBLAS thread-count functions")
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """This process at the workers' one BLAS thread, so that pooled and
-    sequential starts do the same arithmetic."""
-    with gp._blas_threads(1, gp._openblas_thread_controls()):
-        yield
 
 
 def data(n=N, m=3, seed=0):
@@ -82,10 +79,9 @@ class TestPooledStarts:
         X, y = data()
         cfg = GpTrainConfig(restarts=3, max_iter=25, seed=4,
                             jitter_floor=jitter_floor)
-        with one_blas_thread():
-            [expected] = sequential(X, y[None], [cfg])
-            pools = spy_pools(monkeypatch)
-            [pooled] = train_gp(X, y[None], [cfg])
+        [expected] = sequential(X, y[None], [cfg])
+        pools = spy_pools(monkeypatch)
+        [pooled] = train_gp(X, y[None], [cfg])
         [(pool, children)] = pools
         assert pool is not None
         assert children == min(3, gp._usable_cpus())
@@ -96,10 +92,9 @@ class TestPooledStarts:
         X, y = data(seed=1)
         [base] = train_gp(X, y[None], [FAST])
         cfg = GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper)
-        with one_blas_thread():
-            [expected] = sequential(X, y[None], [cfg])
-            pools = spy_pools(monkeypatch)
-            [pooled] = train_gp(X, y[None], [cfg])
+        [expected] = sequential(X, y[None], [cfg])
+        pools = spy_pools(monkeypatch)
+        [pooled] = train_gp(X, y[None], [cfg])
         assert [pool is not None for pool, _ in pools] == [True]
         assert_same_model(pooled, expected)
 
@@ -114,12 +109,11 @@ class TestPooledStarts:
             GpTrainConfig(restarts=1, max_iter=25, warm_start=base.hyper),
             GpTrainConfig(restarts=3, max_iter=25, seed=5, jitter_floor=0.0),
             FAST]
-        with one_blas_thread():
-            expected = sequential(X, rows, configs)
-            per_row = [train_gp(X, row[None], [cfg])[0]
-                       for row, cfg in zip(rows, configs)]
-            pools = spy_pools(monkeypatch)
-            pooled = train_gp(X, rows, configs)
+        expected = sequential(X, rows, configs)
+        per_row = [train_gp(X, row[None], [cfg])[0]
+                   for row, cfg in zip(rows, configs)]
+        pools = spy_pools(monkeypatch)
+        pooled = train_gp(X, rows, configs)
         assert [pool is not None for pool, _ in pools] == [True]
         assert len(pooled) == len(expected) == 3
         for model, seq, single in zip(pooled, expected, per_row):
@@ -174,16 +168,13 @@ class TestPooledStarts:
     @pytest.mark.parametrize("force", ["cpus", "setters"])
     def test_sequential_fallback_same_models(self, monkeypatch, force):
         sim = analytic_bank("polynomial-mix", 4, 6)
-        controls = gp._openblas_thread_controls()
-        with gp._blas_threads(1, controls):
-            pooled = train_sgp(sim, N, seed=3, gp_config=FAST)
-            pools = spy_pools(monkeypatch)
-            if force == "cpus":
-                monkeypatch.setattr(gp, "_usable_cpus", lambda: 1)
-            else:
-                monkeypatch.setattr(gp, "_openblas_thread_controls",
-                                    lambda: [])
-            sequential = train_sgp(sim, N, seed=3, gp_config=FAST)
+        pooled = train_sgp(sim, N, seed=3, gp_config=FAST)
+        pools = spy_pools(monkeypatch)
+        if force == "cpus":
+            monkeypatch.setattr(gp, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: [])
+        sequential = train_sgp(sim, N, seed=3, gp_config=FAST)
         assert pools and all(pool is None for pool, _ in pools)
         assert_same_block(pooled, sequential)
 
@@ -206,10 +197,9 @@ def test_one_start_rows_pool_and_lone_starts_stay_here(monkeypatch):
     X, y = data()
     rows = np.stack([y, np.cos(2 * X[:, 0])])
     one_start = GpTrainConfig(restarts=1, max_iter=25)
-    with one_blas_thread():
-        expected = sequential(X, rows, [one_start] * 2)
-        pools = spy_pools(monkeypatch)
-        pooled = train_gp(X, rows, [one_start] * 2)
+    expected = sequential(X, rows, [one_start] * 2)
+    pools = spy_pools(monkeypatch)
+    pooled = train_gp(X, rows, [one_start] * 2)
     [(pool, children)] = pools
     assert pool is not None
     assert children == min(2, gp._usable_cpus())
@@ -238,19 +228,9 @@ def test_other_threads_keep_fits_here():
     assert not thread.is_alive()
 
 
-def test_blas_threads_restored():
-    controls = gp._openblas_thread_controls()
-    assert gp._openblas_thread_controls() is controls   # looked up once
-    before = [lib.get() for lib in controls]
-    with gp._blas_threads(1, controls):
-        assert all(lib.get() == 1 for lib in controls)
-    assert [lib.get() for lib in controls] == before
-
-
 def test_loaded_sgp_predicts_like_trained_at_n200(tmp_path):
-    """The posteriors of a pooled block are computed at this process's BLAS
-    thread count, as a loaded archive's are, even where the factorization
-    differs by thread count."""
+    """A pooled block's posteriors are computed here, at the thread count
+    its starts ran at and a loaded archive is conditioned at."""
     sim = analytic_bank("polynomial-mix", 4, 6)
     block = train_sgp(sim, 200, seed=5,
                       gp_config=GpTrainConfig(restarts=2, max_iter=15))
@@ -262,106 +242,102 @@ def test_loaded_sgp_predicts_like_trained_at_n200(tmp_path):
     assert np.array_equal(block.predict_mean(xs), loaded.predict_mean(xs))
 
 
-def numpy_and_scipy_blas():
-    """The file names of numpy's and of scipy's OpenBLAS, as
-    ``gp.blas_thread_counts`` keys them."""
-    names = {Path(lib.path).parent.name: Path(lib.path).name
-             for lib in gp._openblas_thread_controls()}
-    return names.get("numpy.libs"), names.get("scipy.libs")
+@poolable
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_pooled_best_start_conditions_here(monkeypatch, restarts):
+    """Each model is conditioned here at the thread count its start was
+    evaluated at in a worker: these rows' best starts end at the jitter
+    floor, where a factorization at another count can fail."""
+    X = np.random.default_rng(250).uniform(size=(250, 3))
+    rows = np.stack([np.sin(3 * X[:, 0] + r) * X[:, 1] + X[:, 2] ** 2
+                     for r in range(5)])
+    pools = spy_pools(monkeypatch)
+    models = train_gp(X, rows, [GpTrainConfig(restarts=restarts)] * 5)
+    assert [pool is not None for pool, _ in pools] == [True]
+    pairs = gp._pairs(X)
+    for model, y in zip(models, rows):
+        value, _ = gp._nlml_value_grad(model.hyper.as_array(), pairs, y)
+        assert model.final_nlml == value
+        assert model.final_nlml == gp.posterior(pairs, X, y,
+                                                model.hyper).final_nlml
 
 
-NUMPY_BLAS, SCIPY_BLAS = numpy_and_scipy_blas()
-
-two_blas = pytest.mark.skipif(
-    NUMPY_BLAS is None or SCIPY_BLAS is None,
-    reason="needs numpy's and scipy's own OpenBLAS with thread-count "
-           "functions")
-
-
-def spy_counts(monkeypatch, name, fail_on=None,
-               counts=gp.blas_thread_counts):
-    """Record the thread ``counts`` of every call to the ``emulator`` module
-    function ``name``, on entry and after it returns; call ``fail_on``
-    raises ``TrainingFailedError`` instead."""
-    seen = []
-    original = getattr(emulator, name)
-
-    def spy(*args):
-        entry = counts()
-        if len(seen) == fail_on:
-            raise TrainingFailedError("forced failure")
-        result = original(*args)
-        seen.append((entry, counts()))
-        return result
-
-    monkeypatch.setattr(emulator, name, spy)
-    return seen
-
-
-def local_block(n_train=29, gp_config=FAST):
+def local_block():
     """Term (1, 2) of a 3-input simulator: 25 grid points, then active
-    steps up to ``n_train``."""
+    steps up to 29."""
     sim = analytic_bank("polynomial-mix", 3, 5)
     c = sim.anchor_point()
     cache = SimCache(sim)
     _, dataset = term_mean((1, 2), sim, c, cache)
-    return train_local((1, 2), dataset, n_train, sim, c, cache,
-                       pool_size=n_train + 30, seed=1, gp_config=gp_config)
+    return train_local((1, 2), dataset, 29, sim, c, cache, pool_size=59,
+                       seed=1, gp_config=FAST)
 
 
-@two_blas
-class TestLocalTrainingThreads:
-    def test_numpy_at_one_thread_scipy_kept(self, monkeypatch):
-        before = gp.blas_thread_counts()
-        pcas = spy_counts(monkeypatch, "fit_pca")
-        fits = spy_counts(monkeypatch, "train_gp")
-        local_block()
-        assert len(pcas) == len(fits) == 29 - 25 + 1
-        for entry, _ in pcas + fits:
-            assert entry == {**before, NUMPY_BLAS: 1}
-        assert gp.blas_thread_counts() == before
+def pooled_sgp(monkeypatch):
+    pools = spy_pools(monkeypatch)
+    train_sgp(analytic_bank("polynomial-mix", 4, 6), N, seed=2,
+              gp_config=FAST)
+    assert pools and all(pool is not None for pool, _ in pools)
 
-    def test_counts_restored_after_failure(self, monkeypatch):
-        before = gp.blas_thread_counts()
-        fits = spy_counts(monkeypatch, "train_gp", fail_on=2)
-        with pytest.raises(TrainingFailedError,
-                           match=r"term \(1, 2\), mode None, train_local "
-                                 r"refit 2 .*forced failure"):
-            local_block()
-        assert len(fits) == 2
-        assert gp.blas_thread_counts() == before
 
-    def test_same_block_without_thread_controls(self, monkeypatch):
-        """With no thread controls found, training runs at the counts it
-        finds and gives bitwise the same block."""
-        before = gp.blas_thread_counts()
-        scoped = local_block()
-        controls = gp._openblas_thread_controls()
-        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: [])
-        fits = spy_counts(monkeypatch, "train_gp", counts=lambda: {
-            Path(lib.path).name: lib.get() for lib in controls})
-        unscoped = local_block()
-        assert fits and all(entry == before for entry, _ in fits)
-        assert np.array_equal(scoped.train_inputs, unscoped.train_inputs)
-        assert np.array_equal(scoped.train_values, unscoped.train_values)
-        for field in ("mean", "components", "eigenvalues", "total_variance"):
-            assert np.array_equal(getattr(scoped.pca, field),
-                                  getattr(unscoped.pca, field))
-        assert_same_block(scoped, unscoped)
+def failed_pooled_sgp(monkeypatch):
+    def fails(*args):
+        raise IllConditionedKernelError("forced failure")
 
-    @poolable
-    def test_pooled_block_restores_the_scope(self, monkeypatch):
-        """Refits on more than ``POOL_ROWS`` rows fork workers inside the
-        scope; each returns to numpy at one thread and scipy at its count,
-        and no worker outlives it."""
-        before = gp.blas_thread_counts()
-        pools = spy_pools(monkeypatch)
-        fits = spy_counts(monkeypatch, "train_gp")
-        n_train = gp.POOL_ROWS + 2
-        block = local_block(n_train, GpTrainConfig(restarts=2, max_iter=10))
-        assert block.train_inputs.shape[0] == n_train
-        assert [pool is not None for pool, _ in pools][-2:] == [True, True]
-        for _, after in fits:
-            assert after == {**before, NUMPY_BLAS: 1}
-        assert gp.blas_thread_counts() == before
-        assert multiprocessing.active_children() == []
+    pools = spy_pools(monkeypatch)
+    monkeypatch.setattr(gp, "_nlml_value_grad", fails)
+    with pytest.raises(TrainingFailedError):
+        train_sgp(analytic_bank("polynomial-mix", 4, 6), N, seed=2,
+                  gp_config=FAST)
+    assert pools and pools[0][0] is not None
+
+
+@pytest.mark.skipif(not gp._openblas_thread_controls(),
+                    reason="needs OpenBLAS thread-count functions")
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda monkeypatch: None, id="import"),
+    pytest.param(lambda monkeypatch: local_block(), id="train_local"),
+    pytest.param(pooled_sgp, id="train_sgp", marks=poolable),
+    pytest.param(failed_pooled_sgp, id="failure", marks=poolable)])
+def test_one_blas_thread(monkeypatch, run):
+    """Every OpenBLAS the package controls runs at the one thread set on
+    import, and nothing the package runs changes that count."""
+    assert gp._openblas_thread_controls() is gp._openblas_thread_controls()
+    run(monkeypatch)
+    counts = gp.blas_thread_counts()
+    assert counts and set(counts.values()) == {1}
+    assert multiprocessing.active_children() == []
+
+
+def _archive_members(path: Path) -> dict[str, bytes]:
+    with np.load(path) as data:
+        return {name: data[name].tobytes() for name in data.files}
+
+
+@pytest.mark.skipif(not gp._openblas_thread_controls(),
+                    reason="needs OpenBLAS thread-count functions")
+def test_outputs_do_not_depend_on_starting_threads(tmp_path):
+    """``anovagp train`` started at one and at two OpenBLAS threads writes
+    the same bytes: the package runs at one thread either way."""
+    from test_acceptance import CHEAP_CONFIG
+
+    config = tmp_path / "cheap.json"
+    config.write_text(json.dumps(CHEAP_CONFIG))
+    src = str(Path(anovagp.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "anovagp.cli", "train",
+                        "--config", str(config), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    one, two = outs
+    assert (one / "errors.csv").read_bytes() == (two / "errors.csv").read_bytes()
+    for archive in ("anova_gp.npz", "sgp.npz"):
+        assert _archive_members(one / archive) == _archive_members(two / archive)
+    for out in outs:
+        with open(out / "report.json") as fh:
+            assert set(json.load(fh)["blas_threads"].values()) == {1}
