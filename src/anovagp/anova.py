@@ -212,15 +212,14 @@ def _admissible_candidates(selected: list[AnovaIndex], m: int) -> list[AnovaInde
 
 
 def adaptive_decompose(sim: Simulator, tol_index: float = 1e-4,
-                       nodes_per_dim: int = 5, max_order: int = 4,
-                       denominator: str = "running") -> DecompositionResult:
+                       nodes_per_dim: int = 5, max_order: int = 4
+                       ) -> DecompositionResult:
     """Adaptive anchored ANOVA decomposition.
 
     Starts from the constant term at the simulator's anchor point, scores
     every admissible candidate index in alphabetical order and keeps those
-    whose contribution weight exceeds ``tol_index`` (strictly).  With
-    ``denominator="running"`` the reference mean is updated immediately each
-    time an index is accepted; ``"previous_orders"`` freezes it per order.
+    whose contribution weight exceeds ``tol_index`` (strictly), against a
+    reference mean that each accepted index updates at once.
     Stops when no admissible candidate remains or ``max_order`` is reached.
     Returns the selection, the quadrature datasets of the selected nonempty
     terms and the fresh simulator cache used for all evaluations.
@@ -229,8 +228,6 @@ def adaptive_decompose(sim: Simulator, tol_index: float = 1e-4,
         raise ValueError("tol_index must be positive")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if denominator not in ("running", "previous_orders"):
-        raise ValueError(f"unknown denominator mode {denominator!r}")
     m = sim.input_dim
     c = sim.anchor_point()
     cache = SimCache(sim)
@@ -245,11 +242,10 @@ def adaptive_decompose(sim: Simulator, tol_index: float = 1e-4,
     while candidates:
         selection.candidate_counts[order] = len(candidates)
         selected_here: list[AnovaIndex] = []
-        reference = accumulated.copy()
         for t in candidates:
             mean_t, dataset = term_mean(t, sim, c, cache, nodes_per_dim)
-            ref = accumulated if denominator == "running" else reference
-            gamma = contribution_weight(t, mean_t, ref, sim.output_norm)
+            gamma = contribution_weight(t, mean_t, accumulated,
+                                        sim.output_norm)
             if gamma > tol_index:
                 selected_here.append(t)
                 selection.weights[t] = gamma

@@ -83,7 +83,6 @@ class ExperimentConfig:
     n_test: int = 200
     pool_size: int = 1000
     seed: int = 0
-    denominator: str = "running"
     gp_restarts: int = 5
     gp_max_iter: int = 100
     sgp_gp_restarts: int = 2
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError("tol_pca must lie in (0, 1)")
         if self.pool_size <= self.n_train:
             raise ConfigError("pool_size must exceed n_train")
-        if self.denominator not in ("running", "previous_orders"):
-            raise ConfigError(f"unknown denominator mode {self.denominator!r}")
         if not (self.sgp_budget == "matched"
                 or (type(self.sgp_budget) is int and self.sgp_budget >= 1)):
             raise ConfigError("sgp_budget must be 'matched' or a positive int")
@@ -135,20 +132,35 @@ class ExperimentConfig:
 
 def read_config_file(path: str) -> dict:
     """The mapping a config or points file holds: JSON when its name ends
-    in .json, YAML otherwise.  A file that does not parse, or holds anything
-    but a mapping, raises ``ConfigError``."""
+    in .json, YAML otherwise.  A file that cannot be read or does not parse,
+    or holds anything but a mapping, raises ``ConfigError``."""
     try:
         text = Path(path).read_text()
         if str(path).endswith(".json"):
             data = json.loads(text)
         else:
             data = yaml.safe_load(text)
+    except OSError as err:   # missing, a directory, unreadable
+        raise ConfigError(f"config file {path} cannot be read: "
+                          f"{err.strerror or err}") from None
     except (ValueError, yaml.YAMLError) as err:   # UnicodeDecodeError too
         raise ConfigError(
             f"config file {path} does not parse: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} does not hold a mapping")
     return data
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents when missing; a path
+    that cannot be one raises ``ConfigError``."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:   # an existing file, or a file on the way
+        raise ConfigError(f"output directory {path} cannot be made: "
+                          f"{err.strerror or err}") from None
+    return out
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -206,10 +218,12 @@ def run_experiment(config: ExperimentConfig,
     """Full pipeline: decompose, train both emulators, score, report.
 
     Artifacts (errors.csv, report.json, emulator archives, a config echo)
-    are written to ``out_dir`` when given.  The report records the OpenBLAS
-    thread counts the run ran at: one each, set when ``gp`` is imported.
+    are written to ``out_dir`` when given; it is made (``output_dir``)
+    before anything runs.  The report records the OpenBLAS thread counts
+    the run ran at: one each, set when ``gp`` is imported.
     """
     config.validate()
+    out = None if out_dir is None else output_dir(out_dir)
     blas_threads = blas_thread_counts()
     sim = build_simulator(config.simulator)
     timings: dict[str, float] = {}
@@ -217,7 +231,7 @@ def run_experiment(config: ExperimentConfig,
     tic = time.perf_counter()
     decomp = adaptive_decompose(
         sim, tol_index=config.tol_index, nodes_per_dim=config.nodes_per_dim,
-        max_order=config.max_order, denominator=config.denominator)
+        max_order=config.max_order)
     timings["decompose_s"] = time.perf_counter() - tic
     decompose_calls = decomp.cache.misses
 
@@ -289,8 +303,8 @@ def run_experiment(config: ExperimentConfig,
         config=config.to_dict(), undefined_errors=undefined,
         blas_threads=blas_threads)
 
-    if out_dir is not None:
-        write_artifacts(report, anova_em, sgp_em, Path(out_dir))
+    if out is not None:
+        write_artifacts(report, anova_em, sgp_em, out)
     return report
 
 
@@ -305,7 +319,6 @@ def write_errors_csv(report: ExperimentReport, path: Path) -> None:
 
 def write_artifacts(report: ExperimentReport, anova_em: AnovaGpEmulator,
                     sgp_em: PcaGp, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_errors_csv(report, out_dir / "errors.csv")
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

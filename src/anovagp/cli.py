@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .anova import adaptive_decompose
-from .bench import (build_simulator, load_config, read_config_file,
-                    run_experiment)
+from .bench import (build_simulator, load_config, output_dir,
+                    read_config_file, run_experiment)
 from .emulator import AnovaGpEmulator, PcaGp, load_emulator, predict_sgp_mean
 from .exceptions import AnovaGpError, ConfigError
 
@@ -33,14 +33,13 @@ def _apply_seed_override(config, args):
 def cmd_decompose(args) -> int:
     config = _apply_seed_override(load_config(args.config), args)
     sim = build_simulator(config.simulator)
+    out = output_dir(args.out) if args.out else None
     result = adaptive_decompose(
         sim, tol_index=config.tol_index, nodes_per_dim=config.nodes_per_dim,
-        max_order=config.max_order, denominator=config.denominator)
+        max_order=config.max_order)
     payload = {**result.selection.to_dict(),
                "simulator_calls": result.cache.misses}
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "selection.json", "w") as fh:
             json.dump(payload, fh, indent=2)
     else:
@@ -77,6 +76,9 @@ def _load_points(config_path: str) -> np.ndarray:
                 warnings.filterwarnings("ignore", "loadtxt: input contained "
                                         "no data", UserWarning)
                 points = np.loadtxt(source, delimiter=",", ndmin=2)
+    except OSError as err:   # missing, a directory, unreadable
+        raise ConfigError(f"prediction points table {source} cannot be "
+                          f"read: {err.strerror or err}") from None
     except (TypeError, ValueError) as err:
         raise ConfigError(f"prediction points are not a table of numbers: "
                           f"{err}") from None
@@ -88,15 +90,14 @@ def _load_points(config_path: str) -> np.ndarray:
 def cmd_predict(args) -> int:
     emulator = load_emulator(args.emulator)
     points = _load_points(args.config)
+    out = output_dir(args.out) if args.out else None
     if isinstance(emulator, AnovaGpEmulator):
         preds = emulator.predict_mean(points)
     else:
         preds = predict_sgp_mean(emulator, points)
     dest = sys.stdout
     handle = None
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         handle = open(out / "predictions.csv", "w", newline="")
         dest = handle
     try:
@@ -167,8 +168,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as err:
-        return _fail(2, "config", str(err))
-    except FileNotFoundError as err:
         return _fail(2, "config", str(err))
     except AnovaGpError as err:
         return _fail(1, type(err).__name__, str(err))

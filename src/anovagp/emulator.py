@@ -323,12 +323,15 @@ def _check_anchor(anchor: np.ndarray, anchor_output: np.ndarray,
 def load_emulator(path: str):
     """Load an emulator archive written by ``save_emulator``.
 
-    A file that is not such an archive, or one whose members' shapes
-    disagree (``_block_members``, ``_check_anchor``), raises
-    ``ConfigError``.
+    A path that cannot be read, a file that is not such an archive, or one
+    whose members' shapes disagree (``_block_members``, ``_check_anchor``),
+    raises ``ConfigError``.
     """
     try:
         archive = np.load(path, allow_pickle=False)
+    except OSError as err:   # missing, a directory, unreadable
+        raise ConfigError(f"{path} cannot be read: "
+                          f"{err.strerror or err}") from None
     except (ValueError, EOFError, zipfile.BadZipFile):
         archive = None   # text, an empty file, a broken zip
     if not isinstance(archive, np.lib.npyio.NpzFile):   # or one .npy array

@@ -11,15 +11,14 @@ covariance is assembled from its strictly lower pairs (i > j) and handled by
 direct LAPACK calls that read only the lower triangle.  ``train_gp`` fits
 rows of targets over the same inputs, one model per row, and builds their
 pairs once; ``posterior`` conditions a model on given pairs and
-hyperparameters.  A block on more than ``POOL_ROWS`` rows can run its starts
-in forked worker processes, the package's only parallelism: on import this
-module sets every loaded OpenBLAS to one thread, and nothing changes that
-count later, so results do not depend on the count a process starts with.
+hyperparameters.  ``_run_starts`` may run a block's starts in forked worker
+processes, the package's only parallelism: on import this module sets every
+loaded OpenBLAS to one thread, and nothing changes that count later, so
+results do not depend on the count a process starts with.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -265,10 +264,10 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     by L-BFGS-B (``_run_start``); a start that ends where the objective
     failed fails.  Each model achieves the lowest NLML among its row's
     other starts (never worse than any clipped start the objective can
-    evaluate).  All starts run through one map, in worker processes on more
-    than ``POOL_ROWS`` rows (``_start_pool``, same models as run here);
-    every model is then conditioned here.  A row whose
-    starts all fail raises ``TrainingFailedError`` with ``mode`` that row.
+    evaluate).  All starts run through ``_run_starts``, which may fork
+    workers for them (same models as run here); every model is then
+    conditioned here.  A row whose starts all fail raises
+    ``TrainingFailedError`` with ``mode`` that row.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     rows = np.asarray(targets, dtype=float)
@@ -288,11 +287,7 @@ def train_gp(inputs: np.ndarray, targets: np.ndarray,
     if not tasks:
         return []
     pairs = _pairs(inputs)
-    with _start_pool(pairs, len(tasks)) as pool:
-        if pool is None:
-            results = [_run_start(pairs, *task) for task in tasks]
-        else:
-            results = pool.starmap(_pooled_start, tasks, chunksize=1)
+    results = _run_starts(pairs, tasks)
     models = []
     for r, ((inits, bounds, floor), y) in enumerate(zip(plans, rows)):
         row, results = results[:len(inits)], results[len(inits):]
@@ -392,16 +387,13 @@ def _run_start(pairs: Pairs, theta0: np.ndarray, targets: np.ndarray,
 # GPs trained on more rows than this may run their starts in worker processes
 POOL_ROWS = 64
 
-_worker_pairs: Pairs | None = None   # set in each worker of a start pool
-
-
-def _init_worker(pairs: Pairs) -> None:
-    global _worker_pairs
-    _worker_pairs = pairs
+# the pairs of the block a pool's workers run starts on: set just before
+# they fork, so they inherit them and nothing pickles them
+_pool_pairs: Pairs | None = None
 
 
 def _pooled_start(*task):
-    return _run_start(_worker_pairs, *task)
+    return _run_start(_pool_pairs, *task)
 
 
 def _usable_cpus() -> int:
@@ -462,32 +454,30 @@ for _lib in _openblas_thread_controls():
     _lib.set(1)
 
 
-@contextlib.contextmanager
-def _start_pool(pairs: Pairs, n_tasks: int):
-    """Yields a pool of min(n_tasks, usable CPUs) workers that inherited
-    ``pairs``, or None; ``n_tasks`` counts the starts the pool will map.
+def _run_starts(pairs: Pairs, tasks: list) -> list:
+    """``_run_start(pairs, *task)`` for each task, in order.
 
-    The pool exists when the rows number more than ``POOL_ROWS``, there are
-    two or more starts, two or more CPUs are usable, the platform forks, no
-    other thread runs (forking a threaded process is unsafe) and every
-    loaded OpenBLAS can set its thread count, so that the workers inherit
-    the one thread set on import; at two, two workers would fight over the
-    cores.  The workers shut down on exit.
+    The starts run in min(len(tasks), usable CPUs) forked workers when the
+    pairs hold more than ``POOL_ROWS`` rows, there are two or more starts,
+    two or more CPUs are usable, the platform forks, no other thread runs
+    (forking a threaded process is unsafe) and every loaded OpenBLAS can set
+    its thread count, so that the workers inherit the one thread set on
+    import; at two, two workers would fight over the cores.  Otherwise they
+    run here.  No worker outlives the call.
     """
-    workers = min(n_tasks, _usable_cpus())
+    global _pool_pairs
+    workers = min(len(tasks), _usable_cpus())
     if (pairs.n <= POOL_ROWS or workers < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1
             or not _openblas_thread_controls()):
-        yield None
-        return
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(pairs,))
+        return [_run_start(pairs, *task) for task in tasks]
+    _pool_pairs = pairs
     try:
-        yield pool
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.starmap(_pooled_start, tasks, chunksize=1)
     finally:
-        pool.terminate()
-        pool.join()
+        _pool_pairs = None
 
 
 def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:

@@ -316,15 +316,6 @@ class TestAdaptiveDecompose:
         result = adaptive_decompose(sim, tol_index=1e-8)
         assert result.cache.misses == len(solved) == len(set(solved))
 
-    def test_denominator_modes_differ_only_within_order(self):
-        sim = analytic_bank("polynomial-mix", 3, 5)
-        running = adaptive_decompose(sim, tol_index=1e-6)
-        frozen = adaptive_decompose(sim, tol_index=1e-6,
-                                    denominator="previous_orders")
-        # first candidate of order 1 sees the same reference either way
-        t = (1,)
-        assert running.selection.weights[t] == frozen.selection.weights[t]
-
     @settings(max_examples=12, deadline=None)
     @given(n=st.sampled_from([4, 6, 8]), k_side=st.integers(1, 2),
            max_order=st.integers(1, 3), nodes=st.integers(2, 5),

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anovagp import emulator, gp
+from anovagp import bench, cli, emulator, gp
 from anovagp.anova import IndexSelection
 from anovagp.bench import (ExperimentConfig, build_simulator, derive_seed,
                            load_config, relative_error, run_experiment)
@@ -500,10 +500,12 @@ class TestCli:
     def test_seed_override(self, tmp_path, config_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert main(["train", "--config", config_path, "--out",
-                     str(out_a), "--seed", "7"]) == 0
-        assert main(["train", "--config", config_path, "--out",
-                     str(out_b), "--seed", "7"]) == 0
+        printed = []
+        for out in (out_a, out_b):
+            assert main(["train", "--config", config_path, "--out",
+                         str(out), "--seed", "7"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
         assert ((out_a / "errors.csv").read_bytes()
                 == (out_b / "errors.csv").read_bytes())
         with open(out_a / "config.json") as fh:
@@ -517,8 +519,70 @@ class TestCli:
         assert err["error"] == "config"
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
-        assert main(["benchmark", "--config",
-                     str(tmp_path / "nope.json")]) == 2
+        path = tmp_path / "nope.json"
+        assert main(["benchmark", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"config file {path} cannot be "
+                                          "read: No such file or directory"}
+
+    @pytest.mark.parametrize("argv, bad", [
+        pytest.param("train --config {dir}", "{dir}", id="train-config-dir"),
+        pytest.param("decompose --config {dir}", "{dir}",
+                     id="decompose-config-dir"),
+        pytest.param("inspect --emulator {dir}", "{dir}",
+                     id="inspect-emulator-dir"),
+        pytest.param("predict --config {points} --emulator {dir}", "{dir}",
+                     id="predict-emulator-dir"),
+        pytest.param("predict --config {csv_dir} --emulator {emulator}",
+                     "{dir}", id="predict-points-csv-dir"),
+        pytest.param("decompose --config {config} --out {file}", "{file}",
+                     id="decompose-out-file"),
+        pytest.param("predict --config {points} --emulator {emulator} "
+                     "--out {file}", "{file}", id="predict-out-file"),
+        pytest.param("train --config {config} --out {file}", "{file}",
+                     id="train-out-file"),
+        pytest.param("train --config {config} --out {file}/x", "{file}/x",
+                     id="train-out-under-file"),
+    ])
+    def test_unusable_path_exit_code(self, tmp_path, report, config_path,
+                                     monkeypatch, capsys, argv, bad):
+        """A directory given where a file is read, or a file where an output
+        directory is made, exits 2 with one JSON error line naming it, and
+        before any decomposition."""
+        _, run = report
+        paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file",
+                 "points": tmp_path / "points.json",
+                 "csv_dir": tmp_path / "csv-dir.json",
+                 "config": config_path, "emulator": run / "sgp.npz"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        paths["points"].write_text(json.dumps({"points": [[0.2, 0.7]]}))
+        paths["csv_dir"].write_text(json.dumps(
+            {"points_csv": str(paths["dir"])}))
+
+        def decomposed(*args, **kwargs):
+            raise AssertionError("decomposed before the paths were checked")
+
+        monkeypatch.setattr(bench, "adaptive_decompose", decomposed)
+        monkeypatch.setattr(cli, "adaptive_decompose", decomposed)
+        capsys.readouterr()
+        assert main(argv.format(**paths).split()) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config"
+        assert bad.format(**paths) in err["message"]
+
+    @pytest.mark.parametrize("error", [BlockingIOError, FileNotFoundError])
+    def test_other_os_errors_stay_runtime_errors(self, config_path,
+                                                 monkeypatch, error):
+        """An ``OSError`` that no user path caused, such as a failed fork or
+        a missing file of the program's own, is not a config error."""
+        def fails(*args, **kwargs):
+            raise error("forced failure")
+
+        monkeypatch.setattr(cli, "run_experiment", fails)
+        with pytest.raises(error):
+            main(["train", "--config", config_path])
 
     @pytest.mark.parametrize("name, text", [
         ("bad.json", '{"n_train": 8,'),
@@ -574,6 +638,7 @@ class TestCli:
             bad.write_text(json.dumps(payload))
             assert main(["predict", "--config", str(bad),
                          "--emulator", str(out / "anova_gp.npz")]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "config"
 
     @pytest.mark.parametrize("archive", ["anova_gp.npz", "sgp.npz"])
     @pytest.mark.parametrize("width", [1, 3])

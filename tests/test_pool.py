@@ -1,10 +1,11 @@
 """Tests for the worker processes that run the starts of large GP fits, and
 for the one OpenBLAS thread the package runs at from import on."""
 
-import contextlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -50,19 +51,23 @@ def assert_same_block(a, b):
 
 
 def spy_pools(monkeypatch) -> list:
-    """Record the pool (or None) of every ``_start_pool`` that ``train_gp``
-    opens, with the child processes alive while it is open."""
-    yielded = []
-    start_pool = gp._start_pool
+    """Record, for every ``_run_starts`` call, the number of child processes
+    alive while a pool maps its starts, or None when they run here."""
+    calls = []
+    run_starts = gp._run_starts
+    starmap = multiprocessing.pool.Pool.starmap
 
-    @contextlib.contextmanager
-    def spy(*args):
-        with start_pool(*args) as pool:
-            yielded.append((pool, len(multiprocessing.active_children())))
-            yield pool
+    def spy(pairs, tasks):
+        calls.append(None)
+        return run_starts(pairs, tasks)
 
-    monkeypatch.setattr(gp, "_start_pool", spy)
-    return yielded
+    def spy_starmap(self, *args, **kwargs):
+        calls[-1] = len(multiprocessing.active_children())
+        return starmap(self, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "_run_starts", spy)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy_starmap)
+    return calls
 
 
 def sequential(*args):
@@ -82,9 +87,7 @@ class TestPooledStarts:
         [expected] = sequential(X, y[None], [cfg])
         pools = spy_pools(monkeypatch)
         [pooled] = train_gp(X, y[None], [cfg])
-        [(pool, children)] = pools
-        assert pool is not None
-        assert children == min(3, gp._usable_cpus())
+        assert pools == [min(3, gp._usable_cpus())]
         assert_same_model(pooled, expected)
         assert multiprocessing.active_children() == []
 
@@ -95,7 +98,7 @@ class TestPooledStarts:
         [expected] = sequential(X, y[None], [cfg])
         pools = spy_pools(monkeypatch)
         [pooled] = train_gp(X, y[None], [cfg])
-        assert [pool is not None for pool, _ in pools] == [True]
+        assert [children is not None for children in pools] == [True]
         assert_same_model(pooled, expected)
 
     def test_block_pooled_equals_sequential_and_per_row(self, monkeypatch):
@@ -114,7 +117,7 @@ class TestPooledStarts:
                    for row, cfg in zip(rows, configs)]
         pools = spy_pools(monkeypatch)
         pooled = train_gp(X, rows, configs)
-        assert [pool is not None for pool, _ in pools] == [True]
+        assert [children is not None for children in pools] == [True]
         assert len(pooled) == len(expected) == 3
         for model, seq, single in zip(pooled, expected, per_row):
             assert_same_model(model, seq)
@@ -139,14 +142,14 @@ class TestPooledStarts:
                            ) as err:
             train_gp(X, rows, [FAST] * 3)
         assert err.value.mode == 1
-        assert [pool is not None for pool, _ in pools] == [True]
+        assert [children is not None for children in pools] == [True]
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_train_sgp(self, monkeypatch):
         pools = spy_pools(monkeypatch)
         sim = analytic_bank("polynomial-mix", 4, 6)
         train_sgp(sim, N, seed=2, gp_config=FAST)
-        assert pools and all(pool is not None for pool, _ in pools)
+        assert pools and None not in pools
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_failed_block(self, monkeypatch):
@@ -162,7 +165,52 @@ class TestPooledStarts:
                            match=r"term sgp, mode 0, .*all 3 restarts failed"
                                  r" .*: forced failure$"):
             train_sgp(sim, N, seed=2, gp_config=FAST)
-        assert pools and pools[0][0] is not None
+        assert pools and pools[0] is not None
+        assert multiprocessing.active_children() == []
+
+    def test_workers_inherit_the_pairs(self, monkeypatch):
+        """The pairs reach the workers through fork: a pooled fit gives the
+        models of a fit run here while pickling them raises."""
+        X, y = data()
+        [expected] = sequential(X, y[None], [FAST])
+
+        def unpicklable(self, protocol):
+            raise pickle.PicklingError("the pairs were pickled")
+
+        monkeypatch.setattr(gp.Pairs, "__reduce_ex__", unpicklable)
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(gp._pairs(X))
+        pools = spy_pools(monkeypatch)
+        [pooled] = train_gp(X, y[None], [FAST])
+        assert [children is not None for children in pools] == [True]
+        assert_same_model(pooled, expected)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_parent_drops_the_pairs(self, monkeypatch, fails):
+        """The module holds a block's pairs for its workers only while they
+        run, whether the map returns or a worker's error ends it."""
+        X, y = data()
+        held = []
+        starmap = multiprocessing.pool.Pool.starmap
+
+        def spy_starmap(self, *args, **kwargs):
+            held.append(gp._pool_pairs)
+            return starmap(self, *args, **kwargs)
+
+        def failing(*args):
+            raise ValueError("forced failure")   # not caught by a start
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy_starmap)
+        if fails:
+            # the forked workers inherit the patched kernel
+            monkeypatch.setattr(gp, "_nlml_value_grad", failing)
+            with pytest.raises(ValueError, match="forced failure"):
+                train_gp(X, y[None], [FAST])
+        else:
+            train_gp(X, y[None], [FAST])
+        [pairs] = held
+        assert pairs is not None and pairs.n == N
+        assert gp._pool_pairs is None
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("force", ["cpus", "setters"])
@@ -175,16 +223,16 @@ class TestPooledStarts:
         else:
             monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: [])
         sequential = train_sgp(sim, N, seed=3, gp_config=FAST)
-        assert pools and all(pool is None for pool, _ in pools)
+        assert pools and set(pools) == {None}
         assert_same_block(pooled, sequential)
 
 
-def test_small_or_single_start_fits_stay_here():
-    X, _ = data()
-    with gp._start_pool(gp._pairs(X[:gp.POOL_ROWS]), 5) as pool:
-        assert pool is None
-    with gp._start_pool(gp._pairs(X), 1) as pool:
-        assert pool is None
+def test_small_or_single_start_fits_stay_here(monkeypatch):
+    X, y = data()
+    pools = spy_pools(monkeypatch)
+    train_gp(X[:gp.POOL_ROWS], y[None, :gp.POOL_ROWS], [FAST])
+    train_gp(X, y[None], [GpTrainConfig(restarts=1, max_iter=25)])
+    assert pools == [None, None]
     assert multiprocessing.active_children() == []
 
 
@@ -200,28 +248,27 @@ def test_one_start_rows_pool_and_lone_starts_stay_here(monkeypatch):
     expected = sequential(X, rows, [one_start] * 2)
     pools = spy_pools(monkeypatch)
     pooled = train_gp(X, rows, [one_start] * 2)
-    [(pool, children)] = pools
-    assert pool is not None
-    assert children == min(2, gp._usable_cpus())
+    assert pools == [min(2, gp._usable_cpus())]
     assert len(pooled) == 2
     for model, seq in zip(pooled, expected):
         assert_same_model(model, seq)
     pools.clear()
     assert len(train_gp(X, y[None], [one_start])) == 1
     assert train_gp(X, np.empty((0, N)), []) == []
-    assert pools == [(None, 0)]
+    assert pools == [None]
     assert multiprocessing.active_children() == []
 
 
-def test_other_threads_keep_fits_here():
+def test_other_threads_keep_fits_here(monkeypatch):
     # forking a process that runs other threads is unsafe
-    X, _ = data()
+    X, y = data()
+    pools = spy_pools(monkeypatch)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        with gp._start_pool(gp._pairs(X), 2) as pool:
-            assert pool is None
+        train_gp(X, y[None], [FAST])
+        assert pools == [None]
     finally:
         done.set()
         thread.join(timeout=10)
@@ -253,7 +300,7 @@ def test_pooled_best_start_conditions_here(monkeypatch, restarts):
                      for r in range(5)])
     pools = spy_pools(monkeypatch)
     models = train_gp(X, rows, [GpTrainConfig(restarts=restarts)] * 5)
-    assert [pool is not None for pool, _ in pools] == [True]
+    assert [children is not None for children in pools] == [True]
     pairs = gp._pairs(X)
     for model, y in zip(models, rows):
         value, _ = gp._nlml_value_grad(model.hyper.as_array(), pairs, y)
@@ -277,7 +324,7 @@ def pooled_sgp(monkeypatch):
     pools = spy_pools(monkeypatch)
     train_sgp(analytic_bank("polynomial-mix", 4, 6), N, seed=2,
               gp_config=FAST)
-    assert pools and all(pool is not None for pool, _ in pools)
+    assert pools and None not in pools
 
 
 def failed_pooled_sgp(monkeypatch):
@@ -289,7 +336,7 @@ def failed_pooled_sgp(monkeypatch):
     with pytest.raises(TrainingFailedError):
         train_sgp(analytic_bank("polynomial-mix", 4, 6), N, seed=2,
                   gp_config=FAST)
-    assert pools and pools[0][0] is not None
+    assert pools and pools[0] is not None
 
 
 @pytest.mark.skipif(not gp._openblas_thread_controls(),
